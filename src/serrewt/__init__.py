@@ -20,16 +20,12 @@ from .galois_params import (
     serialize_param,
 )
 from .oracle import (
-    CyclotomicElement,
-    brauer_char_sym,
-    brauer_char_weight,
     cyclotomic_poly,
     k_min_search,
     p_regular_classes,
     verify_decomposition,
 )
 from .recipes import (
-    MuTable,
     bdj_weight_set,
     bm_multiplicity,
     bm_set,
@@ -37,16 +33,11 @@ from .recipes import (
     k_min_of_set,
     kisin_mu,
     mu_support,
-    mu_table,
     serre_k,
     weight_report,
 )
 from .verify import (
     VerificationReport,
-    check_bm_equals_bdj,
-    check_kmin_formula,
-    check_main_theorem,
-    check_recursion_lemma,
     run_suite,
 )
 from .weights import (
@@ -56,19 +47,15 @@ from .weights import (
     jh_multiplicity,
     k_min_closed,
     sym_class,
-    twist_weight,
-    weight_dim,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclotomicElement",
     "InertialParam",
     "InternalInvariantError",
     "Irreducible",
     "LevelOneError",
-    "MuTable",
     "ParamError",
     "Reducible",
     "SerreWeight",
@@ -78,12 +65,6 @@ __all__ = [
     "bdj_weight_set",
     "bm_multiplicity",
     "bm_set",
-    "brauer_char_sym",
-    "brauer_char_weight",
-    "check_bm_equals_bdj",
-    "check_kmin_formula",
-    "check_main_theorem",
-    "check_recursion_lemma",
     "cyclotomic_poly",
     "decompose_sym",
     "enumerate_params",
@@ -94,7 +75,6 @@ __all__ = [
     "k_min_search",
     "kisin_mu",
     "mu_support",
-    "mu_table",
     "normalize_level2",
     "p_regular_classes",
     "param_twist",
@@ -103,8 +83,6 @@ __all__ = [
     "serialize_param",
     "serre_k",
     "sym_class",
-    "twist_weight",
     "verify_decomposition",
-    "weight_dim",
     "weight_report",
 ]

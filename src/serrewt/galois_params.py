@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-from .errors import LevelOneError, ParamError
+from .errors import InternalInvariantError, LevelOneError, ParamError
 from .weights import is_odd_prime
 
 SHAPE_SPLIT = "split"
@@ -113,7 +113,8 @@ def normalize_level2(p: int, e: int) -> Tuple[int, int]:
         e = (p * e) % (p * p - 1)
         a, b = divmod(e, p)
     # equal digits would mean e = a(p+1), excluded above
-    assert a < b
+    if not a < b:
+        raise InternalInvariantError(f"exponent {e} at p={p} gave digits ({a}, {b})")
     return a, b
 
 

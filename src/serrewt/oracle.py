@@ -11,7 +11,12 @@ Two oracles, deliberately separate from the code they certify:
     certifies the decomposition.  Equality is decided exactly in the ring
     Z[x]/Phi_n(x) with n = p^2 - 1 (working modulo x^n - 1 instead would
     produce false negatives, since distinct exponent multisets can agree
-    at a primitive root).
+    at a primitive root).  verify_decomposition is the library's only
+    Brauer path: it counts the exponents of char(Sym^N) minus the claimed
+    factors' characters for all classes at once and reduces every row
+    modulo Phi_n with one integer matrix product.  The tests keep a
+    per-class ring-element computation of the same characters as the
+    reference this path must match.
 
   * Brute-force minimal weight.  k_min_search scans Sym^0, Sym^1, ... for
     the first occurrence of a weight, independent of the closed form.
@@ -61,7 +66,8 @@ def _poly_mul(f: Tuple[int, ...], g: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _poly_divmod(num: Tuple[int, ...], den: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Quotient and remainder; den must be monic."""
-    assert den and den[-1] == 1
+    if not (den and den[-1] == 1):
+        raise InternalInvariantError(f"divisor {den} is not monic")
     rem = list(num)
     dd = len(den) - 1
     quo = [0] * max(len(rem) - dd, 0)
@@ -89,79 +95,13 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
         if n % d == 0:
             den = _poly_mul(den, cyclotomic_poly(d))
     quo, rem = _poly_divmod(num, den)
-    assert rem == (), f"inexact cyclotomic division at n={n}"
+    if rem != ():
+        raise InternalInvariantError(f"inexact cyclotomic division at n={n}")
     return quo
 
 
 def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
-
-
-def _reduce_mod_phi(n: int, coeffs: List[int]) -> Tuple[int, ...]:
-    phi = cyclotomic_poly(n)
-    _, rem = _poly_divmod(_poly_trim(list(coeffs)), phi)
-    deg = len(phi) - 1
-    return tuple(rem) + (0,) * (deg - len(rem))
-
-
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """An element of Z[x]/Phi_n(x), stored as phi(n) exact coefficients."""
-
-    n: int
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != _phi_degree(self.n):
-            raise ValueError("coefficient vector has the wrong length")
-
-    def _check(self, other: "CyclotomicElement") -> None:
-        if self.n != other.n:
-            raise ValueError("mixed cyclotomic moduli")
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.n, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: Union["CyclotomicElement", int]) -> "CyclotomicElement":
-        if isinstance(other, int):
-            return CyclotomicElement(self.n, tuple(other * a for a in self.coeffs))
-        self._check(other)
-        prod = _poly_mul(self.coeffs, other.coeffs)
-        return CyclotomicElement(self.n, _reduce_mod_phi(self.n, list(prod)))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-def cyclo_zero(n: int) -> CyclotomicElement:
-    return CyclotomicElement(n, (0,) * _phi_degree(n))
-
-
-def cyclo_one(n: int) -> CyclotomicElement:
-    return zeta_power(n, 0)
-
-
-def zeta_power(n: int, j: int) -> CyclotomicElement:
-    """x^j in Z[x]/Phi_n, j taken modulo n."""
-    j %= n
-    return CyclotomicElement(n, _reduce_mod_phi(n, [0] * j + [1]))
-
-
-def _element_from_exponent_counts(n: int, counts: Dict[int, int]) -> CyclotomicElement:
-    dense = [0] * n
-    for j, c in counts.items():
-        dense[j % n] += c
-    return CyclotomicElement(n, _reduce_mod_phi(n, dense))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +160,15 @@ def _dlog_table(p: int) -> Dict[int, int]:
         if all(power(cand, n // q) != (1, 0) for q in factors):
             gen = cand
             break
-    assert gen is not None
+    if gen is None:
+        raise InternalInvariantError(f"no generator of the field with {p}^2 elements")
     table: Dict[int, int] = {}
     elt = (1, 0)
     for k in range(n):
         table[elt[0] + p * elt[1]] = k
         elt = mul(elt, gen)
-    assert len(table) == n
+    if len(table) != n:
+        raise InternalInvariantError(f"generator powers at p={p} repeat before {n}")
     return table
 
 
@@ -289,7 +231,8 @@ def p_regular_classes(p: int) -> Tuple[PRegularClass, ...]:
         rep = min(j, (p * j) % n)
         seen.add(rep)
     out.extend(NonsplitClass(p, j) for j in sorted(seen))
-    assert len(out) == p * (p - 1)
+    if len(out) != p * (p - 1):
+        raise InternalInvariantError(f"{len(out)} p-regular classes at p={p}")
     return tuple(out)
 
 
@@ -302,35 +245,6 @@ def class_exponents(c: PRegularClass) -> Tuple[int, int]:
     if isinstance(c, SplitClass):
         return field_log(p, c.x), field_log(p, c.y)
     return c.j, (p * c.j) % (p * p - 1)
-
-
-def brauer_char_weight(w: SerreWeight, c: PRegularClass) -> CyclotomicElement:
-    """Brauer character of V(a, b) at the class: (uv)^a * sum u^t v^(b-1-t)."""
-    if w.p != c.p:
-        raise ValueError("weight and class live at different primes")
-    n = w.p * w.p - 1
-    i, i2 = class_exponents(c)
-    counts: Dict[int, int] = {}
-    base = w.a * (i + i2)
-    for t in range(w.b):
-        e = (base + t * i + (w.b - 1 - t) * i2) % n
-        counts[e] = counts.get(e, 0) + 1
-    return _element_from_exponent_counts(n, counts)
-
-
-def brauer_char_sym(p: int, N: int, c: PRegularClass) -> CyclotomicElement:
-    """Brauer character of Sym^N at the class: sum_{t<=N} u^t v^(N-t)."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if p != c.p:
-        raise ValueError("prime and class disagree")
-    n = p * p - 1
-    i, i2 = class_exponents(c)
-    counts: Dict[int, int] = {}
-    for t in range(N + 1):
-        e = (t * i + (N - t) * i2) % n
-        counts[e] = counts.get(e, 0) + 1
-    return _element_from_exponent_counts(n, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +294,8 @@ def _reduction_table(n: int) -> Tuple[np.ndarray, int]:
             for idx in range(deg):
                 cur[idx] -= top * phi[idx]
     tmax = max(abs(v) for row in rows for v in row)
-    assert tmax < 2**32
+    if not tmax < 2**32:
+        raise InternalInvariantError(f"reduction table entry {tmax} at n={n} too large")
     return np.array(rows, dtype=np.int64), tmax
 
 
@@ -416,7 +331,8 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
         np.add.at(counts, (rows, cells), -mult)
 
     # total absolute mass per row is at most 2(N+1); rules out int64 overflow
-    assert 2 * (N + 1) * tmax < 2**62
+    if not 2 * (N + 1) * tmax < 2**62:
+        raise InternalInvariantError(f"int64 residual could overflow at p={p}, N={N}")
     residual = counts @ table
     bad = np.nonzero(np.any(residual != 0, axis=1))[0]
     failures = []

@@ -29,7 +29,6 @@ tres ramifiee, which takes twist*(p+1) + p + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantError, LevelOneError
@@ -106,7 +105,8 @@ def bdj_weight_set(param: InertialParam) -> WeightSet:
         base = _weight_row(param)
         t = param.twist
     weights = sorted(SerreWeight.reduced(p, a + t, b) for a, b in base)
-    assert len(set(weights)) == len(weights)
+    if len(set(weights)) != len(weights):
+        raise InternalInvariantError(f"repeated weight in W(rho) for {param}")
     return tuple(weights)
 
 
@@ -198,35 +198,6 @@ def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
         if mu > 0:
             out.append((n, m, mu))
     return out
-
-
-@dataclass(frozen=True)
-class MuTable:
-    """The full array of Kisin multiplicities, entries[n][m]."""
-
-    p: int
-    entries: Tuple[Tuple[int, ...], ...]
-
-    @classmethod
-    def of(cls, param: InertialParam) -> "MuTable":
-        p = param.p
-        rows = tuple(
-            tuple(kisin_mu(param, n, m) for m in range(p - 1)) for n in range(p)
-        )
-        return cls(p, rows)
-
-    def nonzero(self) -> List[Tuple[int, int, int]]:
-        return [
-            (n, m, mu)
-            for n, row in enumerate(self.entries)
-            for m, mu in enumerate(row)
-            if mu
-        ]
-
-
-def mu_table(param: InertialParam) -> MuTable:
-    """Evaluate Kisin's recipe on every cell (slower than mu_support)."""
-    return MuTable.of(param)
 
 
 def bm_set(param: InertialParam) -> WeightSet:

@@ -11,9 +11,16 @@ Four checks, each producing a VerificationReport:
 plus an explicitly requested "brauer" check wrapping
 oracle.verify_decomposition over N in [0, n_max].
 
-run_suite partitions each check's work items across up to `jobs` processes;
-failures are reported in item order and the aggregate JSON (timing fields
-aside) is a pure function of (primes, checks), whatever the worker count.
+run_suite is the only runner.  It cuts every (prime, check) pair into
+(check, p, lo, hi, opts) slices of the check's item list; a check with at
+least 2 * jobs items gets up to `jobs` slices, a smaller one stays whole.
+At jobs = 1 the slices run in-process, in order; at jobs > 1 all slices of
+the call go through one process pool.  Failures are put back in item order
+for each run, so the aggregate JSON (timing fields aside) is a pure function
+of (primes, checks), whatever the worker count.  A run's "ms" is the sum of
+its slices' evaluation times.  At jobs = 1 that is the run's own time; at
+jobs > 1 it adds up time spent in several workers, so it is not the run's
+wall time and the runs' ms may sum to more than the call's wall time.
 All failures are collected rather than aborting at the first, so one run
 documents the complete mismatch pattern.
 """
@@ -33,6 +40,9 @@ from .weights import SerreWeight, VirtualClass, is_odd_prime, k_min_closed, sym_
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 KNOWN_CHECKS = ALL_CHECKS + ("brauer",)
+
+# (check, p, lo, hi, (k_max, brauer_n_max)): items[lo:hi] of one check at p
+Slice = Tuple[str, int, int, int, Tuple[int, int]]
 
 
 @dataclass
@@ -162,61 +172,17 @@ _EVALS = {
 }
 
 
-def _eval_slice(args: Tuple[str, int, int, int, Tuple[int, int]]) -> List[Dict[str, object]]:
-    """Worker entry: evaluate items[lo:hi] of a check, in order."""
+def _eval_slice(args: Slice) -> Tuple[List[Dict[str, object]], float]:
+    """Worker entry: evaluate items[lo:hi] of a check, in order.
+
+    Returns the failures and the seconds the slice took.
+    """
     check, p, lo, hi, opts = args
-    items = _items_for(check, p, opts)
-    ev = _EVALS[check]
-    out = []
-    for item in items[lo:hi]:
-        failure = ev(p, item)
-        if failure is not None:
-            out.append(failure)
-    return out
-
-
-def _run_check(check: str, p: int, jobs: int = 1, k_max: Optional[int] = None,
-               brauer_n_max: Optional[int] = None) -> VerificationReport:
-    if not is_odd_prime(p):
-        raise UnsupportedPrimeError(f"only odd primes are supported, got {p}")
-    opts = (k_max if k_max is not None else 3 * p,
-            brauer_n_max if brauer_n_max is not None else 3 * p * p)
-    items = _items_for(check, p, opts)
     start = time.perf_counter()
-    if jobs <= 1 or len(items) < 2 * jobs:
-        failures = _eval_slice((check, p, 0, len(items), opts))
-    else:
-        chunk = -(-len(items) // jobs)
-        bounds = [(lo, min(lo + chunk, len(items))) for lo in range(0, len(items), chunk)]
-        tasks = [(check, p, lo, hi, opts) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            failures = [f for part in pool.map(_eval_slice, tasks) for f in part]
-    ms = int(round(1000 * (time.perf_counter() - start)))
-    return VerificationReport(p, check, len(items), failures, ms)
-
-
-# ---------------------------------------------------------------------------
-# public checkers
-
-
-def check_main_theorem(p: int) -> VerificationReport:
-    """serre_k = k_min_of_set = k_cris over the whole parameter space at p."""
-    return _run_check("main", p)
-
-
-def check_bm_equals_bdj(p: int) -> VerificationReport:
-    """bm_set = bdj_weight_set over the whole parameter space at p."""
-    return _run_check("bm", p)
-
-
-def check_kmin_formula(p: int) -> VerificationReport:
-    """Closed-form minimal weight equals the scan oracle on all (p-1)p weights."""
-    return _run_check("kmin", p)
-
-
-def check_recursion_lemma(p: int, k_max: Optional[int] = None) -> VerificationReport:
-    """Symmetric-power recursion identity and periodic relation at p."""
-    return _run_check("recursion", p, k_max=k_max)
+    ev = _EVALS[check]
+    results = (ev(p, item) for item in _items_for(check, p, opts)[lo:hi])
+    failures = [f for f in results if f is not None]
+    return failures, time.perf_counter() - start
 
 
 def expected_param_count(p: int) -> int:
@@ -258,12 +224,31 @@ def run_suite(
             )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    runs = []
+    runs: List[VerificationReport] = []
+    tasks: List[Slice] = []
+    owner: List[int] = []  # index into runs of each task
     for p in primes:
+        opts = (k_max if k_max is not None else 3 * p,
+                brauer_n_max if brauer_n_max is not None else 3 * p * p)
         for name in names:
-            runs.append(
-                _run_check(name, p, jobs=jobs, k_max=k_max, brauer_n_max=brauer_n_max)
-            )
+            n = len(_items_for(name, p, opts))
+            # fewer than 2 * jobs items stay one slice
+            chunk = -(-n // jobs) if n >= 2 * jobs else max(n, 1)
+            for lo in range(0, n, chunk):
+                tasks.append((name, p, lo, min(lo + chunk, n), opts))
+                owner.append(len(runs))
+            runs.append(VerificationReport(p, name, n))
+    if jobs == 1:
+        results = map(_eval_slice, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks)))) as pool:
+            results = list(pool.map(_eval_slice, tasks))
+    seconds = [0.0] * len(runs)
+    for idx, (failures, elapsed) in zip(owner, results):
+        runs[idx].failures.extend(failures)
+        seconds[idx] += elapsed
+    for run, s in zip(runs, seconds):
+        run.ms = int(round(1000 * s))
     return {
         "runs": [r.to_json_obj() for r in runs],
         "pass": all(r.passed for r in runs),

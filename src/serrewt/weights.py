@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Tuple
 
+from .errors import InternalInvariantError
+
 
 def is_odd_prime(n: int) -> bool:
     """True iff n is a prime other than 2."""
@@ -72,10 +74,6 @@ class SerreWeight:
         """Construct V(a mod p-1, b), canonicalizing the twist exponent."""
         return cls(p, a % (p - 1), b)
 
-    @property
-    def dim(self) -> int:
-        return self.b
-
     def central_character(self) -> int:
         """Exponent c with scalars x acting by x^c, reduced mod p-1."""
         return (2 * self.a + self.b - 1) % (self.p - 1)
@@ -88,16 +86,6 @@ class SerreWeight:
 
     def __str__(self) -> str:
         return f"V({self.a},{self.b})"
-
-
-def weight_dim(w: SerreWeight) -> int:
-    """Dimension of the weight; equals b by definition."""
-    return w.b
-
-
-def twist_weight(w: SerreWeight, t: int) -> SerreWeight:
-    """det^t (x) V(a, b) = V((a + t) mod p-1, b)."""
-    return w.twist(t)
 
 
 class VirtualClass:
@@ -122,10 +110,6 @@ class VirtualClass:
                         del store[w]
         self.p = p
         self._coeffs = store
-
-    @classmethod
-    def zero(cls, p: int) -> "VirtualClass":
-        return cls(p)
 
     @classmethod
     def of_weight(cls, w: SerreWeight, mult: int = 1) -> "VirtualClass":
@@ -212,7 +196,8 @@ def _decompose(p: int, N: int) -> Dict[SerreWeight, int]:
         key = (t % q, M + 1)
         factors[key] = factors.get(key, 0) + 1
     out = {SerreWeight(p, a, b): c for (a, b), c in factors.items()}
-    assert sum(c * w.b for w, c in out.items()) == N + 1
+    if sum(c * w.b for w, c in out.items()) != N + 1:
+        raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")
     return out
 
 
@@ -242,7 +227,7 @@ def sym_class(p: int, N: int) -> VirtualClass:
     integer index.
     """
     if N == -1:
-        return VirtualClass.zero(p)
+        return VirtualClass(p)
     if N < -1:
         return (-sym_class(p, -N - 2)).twist(N + 1)
     return VirtualClass(p, _decompose(p, N))

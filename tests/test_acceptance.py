@@ -20,15 +20,8 @@ from serrewt.galois_params import (
 )
 from serrewt.oracle import verify_decomposition
 from serrewt.recipes import bdj_weight_set, bm_set, k_cris, kisin_mu, serre_k
-from serrewt.verify import (
-    check_bm_equals_bdj,
-    check_kmin_formula,
-    check_main_theorem,
-    check_recursion_lemma,
-    expected_param_count,
-    run_suite,
-)
-from serrewt.weights import SerreWeight, decompose_sym, k_min_closed, sym_class, twist_weight
+from serrewt.verify import expected_param_count, run_suite
+from serrewt.weights import SerreWeight, decompose_sym, k_min_closed, sym_class
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 PRIMES_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -39,14 +32,18 @@ def _report(line):
     print(line, flush=True)
 
 
+def _runs(primes, check, **kwargs):
+    """run_suite's runs of one check over the primes, single worker."""
+    return run_suite(primes, [check], jobs=1, **kwargs)["runs"]
+
+
 def test_criterion_1_main_theorem():
     start = time.perf_counter()
     failures = 0
     counts = {}
-    for p in PRIMES_47:
-        r = check_main_theorem(p)
-        failures += len(r.failures)
-        counts[p] = r.params_checked
+    for r in _runs(PRIMES_47, "main"):
+        failures += len(r["failures"])
+        counts[r["p"]] = r["params_checked"]
     elapsed = time.perf_counter() - start
     ok = failures == 0 and counts[3] == 21 and counts[5] == 78 and elapsed < 60.0
     _report(
@@ -62,8 +59,8 @@ def test_criterion_1_main_theorem():
 
 def test_criterion_2_weight_set_equality():
     failures = 0
-    for p in PRIMES_47:
-        failures += len(check_bm_equals_bdj(p).failures)
+    for r in _runs(PRIMES_47, "bm"):
+        failures += len(r["failures"])
     # the pinned p = 3 split r = 1 sets, from both recipes
     expected = tuple(
         sorted(SerreWeight(3, a, b) for a, b in [(0, 1), (0, 3), (1, 1), (1, 3)])
@@ -80,11 +77,10 @@ def test_criterion_2_weight_set_equality():
 def test_criterion_3_kmin_formula():
     failures = 0
     grids = 0
-    for p in PRIMES_31:
-        r = check_kmin_formula(p)
-        failures += len(r.failures)
-        grids += r.params_checked
-        assert r.params_checked == (p - 1) * p
+    for r in _runs(PRIMES_31, "kmin"):
+        failures += len(r["failures"])
+        grids += r["params_checked"]
+        assert r["params_checked"] == (r["p"] - 1) * r["p"]
     # anchored values
     for p in PRIMES_31:
         for b in range(1, p + 1):
@@ -101,8 +97,10 @@ def test_criterion_3_kmin_formula():
 
 def test_criterion_4_grothendieck_identities():
     failures = 0
-    for p in PRIMES_31:
-        failures += len(check_recursion_lemma(p, 3 * p).failures)
+    for r in _runs(PRIMES_31, "recursion"):  # k_max defaults to 3p
+        p = r["p"]
+        assert r["params_checked"] == (p - 1) * 3 * p + 6 * p + 1
+        failures += len(r["failures"])
         # Sym^p = Sym^1 + det (x) Sym^(p-2), per prime
         lhs = sym_class(p, p)
         rhs = sym_class(p, 1) + sym_class(p, p - 2).twist(1)
@@ -166,10 +164,10 @@ def test_criterion_7_structural_invariants():
             for t in (1, 2, p - 2):
                 tw = param_twist(q, t)
                 assert bdj_weight_set(tw) == tuple(
-                    sorted(twist_weight(w, t) for w in bdj_weight_set(q))
+                    sorted(w.twist(t) for w in bdj_weight_set(q))
                 )
                 assert bm_set(tw) == tuple(
-                    sorted(twist_weight(w, t) for w in bm_set(q))
+                    sorted(w.twist(t) for w in bm_set(q))
                 )
     # determinism of run_suite across worker counts
     def strip(agg):

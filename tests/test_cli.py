@@ -153,6 +153,12 @@ def test_verify_jobs_deterministic_json(capsys):
 
     assert strip(out1) == strip(out4)
 
+    # more workers than any check has items
+    code1, out1, _ = run(capsys, "verify", "-p", "3", "--jobs", "1", "--format", "json")
+    code64, out64, _ = run(capsys, "verify", "-p", "3", "--jobs", "64", "--format", "json")
+    assert code1 == code64 == 0
+    assert strip(out1) == strip(out64)
+
 
 def test_verify_range_parses_inclusive(capsys):
     code, out, _ = run(capsys, "verify", "-p", "3..7", "--checks", "bm", "--format", "csv")
@@ -245,3 +251,17 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SERREWT_MAX_P", "many")
     code, _, err = run(capsys, "verify", "--checks", "main")
     assert code == 2
+
+
+def test_jobs_env_below_one_is_usage_error(capsys, monkeypatch):
+    for value in ("0", "-1"):
+        monkeypatch.setenv("SERREWT_JOBS", value)
+        code, _, err = run(capsys, "verify", "-p", "3")
+        assert code == 2
+        assert "jobs must be >= 1" in err
+
+
+def test_verify_unwritable_out_path(capsys):
+    code, out, err = run(capsys, "verify", "-p", "3", "--out", "/nonexistent/dir/r.json")
+    assert code == 2
+    assert out == "" and err.startswith("error:")

@@ -1,0 +1,40 @@
+"""Internal invariants are explicit raises, so they hold under python -O."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import serrewt
+from serrewt.errors import InternalInvariantError
+from serrewt.oracle import _poly_divmod
+
+PACKAGE = Path(serrewt.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_breached_guard_raises_internal_invariant_error():
+    with pytest.raises(InternalInvariantError):
+        _poly_divmod((1, 2, 3), (1, 2))  # divisor is not monic
+
+
+def test_verify_under_optimize_flag():
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "serrewt.cli", "verify", "-p", "3"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout

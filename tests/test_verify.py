@@ -5,55 +5,57 @@ import json
 
 import pytest
 
+from serrewt import verify
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.verify import (
-    check_bm_equals_bdj,
-    check_kmin_formula,
-    check_main_theorem,
-    check_recursion_lemma,
-    expected_param_count,
-    run_suite,
-)
+from serrewt.verify import expected_param_count, run_suite
+
+
+def _run(check, p, **kwargs):
+    """The single run of one check at one prime."""
+    agg = run_suite([p], [check], **kwargs)
+    (run,) = agg["runs"]
+    assert agg["pass"] == (run["failures"] == [])
+    return run
 
 
 def test_check_main_theorem_counts():
-    r3 = check_main_theorem(3)
-    assert r3.passed and r3.params_checked == 21  # 3 irreducible + 18 reducible
-    r5 = check_main_theorem(5)
-    assert r5.passed and r5.params_checked == 78
+    r3 = _run("main", 3)
+    assert not r3["failures"] and r3["params_checked"] == 21  # 3 irreducible + 18 reducible
+    r5 = _run("main", 5)
+    assert not r5["failures"] and r5["params_checked"] == 78
 
 
 def test_check_main_theorem_p7():
-    assert check_main_theorem(7).passed
+    assert not _run("main", 7)["failures"]
 
 
 def test_check_bm_equals_bdj():
     for p in (3, 5, 7):
-        r = check_bm_equals_bdj(p)
-        assert r.passed
-        assert r.params_checked == expected_param_count(p)
+        r = _run("bm", p)
+        assert not r["failures"]
+        assert r["params_checked"] == expected_param_count(p)
 
 
 def test_check_kmin_formula_counts():
-    assert check_kmin_formula(3).params_checked == 6
-    assert check_kmin_formula(5).params_checked == 20
-    r = check_kmin_formula(11)
-    assert r.passed and r.params_checked == 110
+    assert _run("kmin", 3)["params_checked"] == 6
+    assert _run("kmin", 5)["params_checked"] == 20
+    r = _run("kmin", 11)
+    assert not r["failures"] and r["params_checked"] == 110
 
 
 def test_check_recursion_lemma():
-    assert check_recursion_lemma(3, 10).passed
-    assert check_recursion_lemma(7, 20).passed
+    assert not _run("recursion", 3, k_max=10)["failures"]
+    assert not _run("recursion", 7, k_max=20)["failures"]
 
 
 def test_coverage_formula():
     for p in (3, 5, 7, 11):
-        assert check_main_theorem(p).params_checked == expected_param_count(p)
+        assert _run("main", p)["params_checked"] == expected_param_count(p)
         assert expected_param_count(p) == p * (p - 1) // 2 + (p - 1) * ((p - 1) * 4 + 1)
 
 
 def test_report_json_shape():
-    obj = check_main_theorem(3).to_json_obj()
+    obj = _run("main", 3)
     assert set(obj) == {"p", "check", "params_checked", "failures", "ms"}
     json.dumps(obj)  # serializable
 
@@ -110,3 +112,21 @@ def test_run_suite_brauer_respects_oracle_cap():
     # raising the cap is allowed (not run here; validation only)
     with pytest.raises(ValueError):
         run_suite([37], ["brauer"], oracle_max_p=31)
+
+
+class _CountingPool(verify.ProcessPoolExecutor):
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_run_suite_opens_one_pool_per_call(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    serial = run_suite([3, 5], "all", jobs=1)
+    assert _CountingPool.opened == 0
+    parallel = run_suite([3, 5], "all", jobs=2)
+    assert _CountingPool.opened == 1
+    assert _strip_ms(serial) == _strip_ms(parallel)

@@ -11,8 +11,6 @@ from serrewt.weights import (
     jh_multiplicity,
     k_min_closed,
     sym_class,
-    twist_weight,
-    weight_dim,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -31,7 +29,7 @@ def W(p, a, b):
     [(5, 0, 1, 1), (5, 2, 5, 5), (7, 3, 4, 4)],
 )
 def test_weight_dim(p, a, b, dim):
-    assert weight_dim(W(p, a, b)) == dim
+    assert W(p, a, b).b == dim
 
 
 def test_weight_validation():
@@ -52,7 +50,7 @@ def test_weight_validation():
     [(5, 1, 2, 1, (2, 2)), (5, 3, 4, 2, (1, 4)), (7, 2, 5, 6, (2, 5))],
 )
 def test_twist_weight(p, a, b, t, expect):
-    w = twist_weight(W(p, a, b), t)
+    w = W(p, a, b).twist(t)
     assert (w.a, w.b) == expect
 
 
@@ -73,8 +71,8 @@ def test_virtual_class_arithmetic():
     z = x + y
     assert z.coefficient(W(5, 1, 4)) == 0
     assert len(z) == 2
-    assert x - x == VirtualClass.zero(5)
-    assert not VirtualClass.zero(5)
+    assert x - x == VirtualClass(5)
+    assert not VirtualClass(5)
     assert (-x).coefficient(W(5, 0, 2)) == -1
     assert x.twist(4) == x  # full period
     assert not y.is_effective and x.is_effective
@@ -168,7 +166,7 @@ def test_jh_multiplicity():
 
 
 def test_sym_class_conventions():
-    assert sym_class(5, -1) == VirtualClass.zero(5)
+    assert sym_class(5, -1) == VirtualClass(5)
     assert sym_class(5, 2) == VirtualClass.of_weight(W(5, 0, 3))
 
 
