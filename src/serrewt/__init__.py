@@ -36,10 +36,7 @@ from .recipes import (
     serre_k,
     weight_report,
 )
-from .verify import (
-    VerificationReport,
-    run_suite,
-)
+from .verify import run_suite
 from .weights import (
     SerreWeight,
     VirtualClass,
@@ -60,7 +57,6 @@ __all__ = [
     "Reducible",
     "SerreWeight",
     "UnsupportedPrimeError",
-    "VerificationReport",
     "VirtualClass",
     "bdj_weight_set",
     "bm_multiplicity",

@@ -12,9 +12,9 @@ Subcommands:
 Common flags: --format {table|json|csv}, --out PATH, --jobs N.  Exit codes:
 0 success / all checks pass, 1 a verification check found counterexamples,
 2 usage or schema errors (including p = 2 and I/O problems), 3 breached
-internal invariant.  Environment: SERREWT_JOBS (default worker count),
-SERREWT_MAX_P (default upper end of the verify prime range); flags always
-win over the environment.
+internal invariant.  Environment: SERREWT_JOBS, the default worker count;
+--jobs wins over it.  The coverage of each verify check is fixed by p
+(see serrewt.verify), and -p defaults to 3..47.
 
 Output is deterministic byte-for-byte for fixed inputs except for the "ms"
 timing fields of verification reports.
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import InternalInvariantError, LevelOneError, ParamError, UnsupportedPrimeError
 from .galois_params import enumerate_params, parse_param
-from .oracle import DEFAULT_MAX_ORACLE_P, k_min_search
+from .oracle import k_min_search
 from .recipes import weight_report
 from .verify import run_suite
 from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
@@ -96,15 +96,9 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", parents=[common],
                        help="run exhaustive theorem checks")
     v.add_argument("-p", dest="prime_range", default=None, metavar="RANGE",
-                   help="prime, comma list, or A..B range (default 3..SERREWT_MAX_P)")
+                   help=f"prime, comma list, or A..B range (default 3..{DEFAULT_MAX_P})")
     v.add_argument("--checks", default="all",
                    help="comma list of main,bm,kmin,recursion,brauer or 'all'")
-    v.add_argument("--k-max", type=int, default=None,
-                   help="recursion check upper bound (default 3p)")
-    v.add_argument("--brauer-n-max", type=int, default=None,
-                   help="brauer check symmetric-power bound (default 3p^2)")
-    v.add_argument("--oracle-max-p", type=int, default=DEFAULT_MAX_ORACLE_P,
-                   help="largest prime the brauer check accepts")
 
     t = sub.add_parser("table", parents=[common],
                        help="full per-prime table of all parameters")
@@ -114,10 +108,7 @@ def _build_parser() -> _Parser:
 
 
 def _parse_prime_range(spec: Optional[str]) -> List[int]:
-    if spec is None:
-        hi = _env_int("SERREWT_MAX_P", DEFAULT_MAX_P)
-        return [p for p in range(3, hi + 1) if is_odd_prime(p)]
-    spec = spec.strip()
+    spec = f"3..{DEFAULT_MAX_P}" if spec is None else spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
         try:
@@ -274,14 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = args.checks if args.checks == "all" else args.checks.split(",")
     jobs = args.jobs if args.jobs is not None else _env_int("SERREWT_JOBS", os.cpu_count() or 1)
     try:
-        aggregate = run_suite(
-            primes,
-            checks,
-            jobs=jobs,
-            k_max=args.k_max,
-            brauer_n_max=args.brauer_n_max,
-            oracle_max_p=args.oracle_max_p,
-        )
+        aggregate = run_suite(primes, checks, jobs=jobs)
     except ValueError as exc:
         raise _UsageError(str(exc))
     if args.format == "json":
@@ -333,23 +317,12 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParamError, LevelOneError, UnsupportedPrimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, ParamError, LevelOneError, UnsupportedPrimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -27,7 +27,7 @@ is the lexicographically smallest irreducible monic quadratic (ordered by
 integer c0 + p*c1, picks the generator g with the smallest encoding, and
 maps g to the residue x in Z[x]/Phi_n.  Discrete logarithms are read from
 a table of the powers of g, so the oracles are intended for desk-scale
-primes (p <= 31 by default; the ring degree is phi(p^2 - 1)).
+primes (p <= MAX_ORACLE_P = 31; the ring degree is phi(p^2 - 1)).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import InternalInvariantError
 from .weights import SerreWeight, _decompose, is_odd_prime, jh_multiplicity
 
-DEFAULT_MAX_ORACLE_P = 31
+MAX_ORACLE_P = 31
 
 # ---------------------------------------------------------------------------
 # exact integer polynomials (little-endian coefficient tuples)

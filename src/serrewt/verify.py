@@ -1,23 +1,24 @@
 """Exhaustive per-prime theorem checking over the enumerated parameter space.
 
-Four checks, each producing a VerificationReport:
+Each check is its item list at p plus an evaluator, one entry of CHECKS:
 
   main       serre_k = k_min_of_set = k_cris for every inertial parameter
   bm         bm_set = bdj_weight_set for every inertial parameter
   kmin       k_min_closed = k_min_search on the full (p-1) x p weight grid
   recursion  the symmetric-power recursion identity for n in [1, p-1] and
-             k in [1, k_max], plus the periodic relation on n in [-2p, 4p]
+             k in [1, 3p], plus the periodic relation on n in [-2p, 4p]
+  brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
+             named explicitly, and only for p <= oracle.MAX_ORACLE_P
 
-plus an explicitly requested "brauer" check wrapping
-oracle.verify_decomposition over N in [0, n_max].
+The coverage of every check is a fixed function of p.
 
-run_suite is the only runner.  It cuts every (prime, check) pair into
-(check, p, lo, hi, opts) slices of the check's item list; a check with at
-least 2 * jobs items gets up to `jobs` slices, a smaller one stays whole.
-At jobs = 1 the slices run in-process, in order; at jobs > 1 all slices of
-the call go through one process pool.  Failures are put back in item order
-for each run, so the aggregate JSON (timing fields aside) is a pure function
-of (primes, checks), whatever the worker count.  A run's "ms" is the sum of
+run_suite is the only runner.  It builds each (prime, check) item list once
+and cuts it into (check, p, items) slices; a check with at least 2 * jobs
+items gets up to `jobs` slices, a smaller one stays whole.  At jobs = 1 the
+slices run in-process, in order; at jobs > 1 all slices of the call go
+through one process pool.  Failures are put back in item order for each
+run, so the aggregate JSON (timing fields aside) is a pure function of
+(primes, checks), whatever the worker count.  A run's "ms" is the sum of
 its slices' evaluation times.  At jobs = 1 that is the run's own time; at
 jobs > 1 it adds up time spent in several workers, so it is not the run's
 wall time and the runs' ms may sum to more than the call's wall time.
@@ -29,48 +30,22 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
-from .oracle import DEFAULT_MAX_ORACLE_P, k_min_search, verify_decomposition
+from .oracle import MAX_ORACLE_P, k_min_search, verify_decomposition
 from .recipes import bdj_weight_set, bm_set, k_cris, k_min_of_set, serre_k
 from .weights import SerreWeight, VirtualClass, is_odd_prime, k_min_closed, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
-KNOWN_CHECKS = ALL_CHECKS + ("brauer",)
 
-# (check, p, lo, hi, (k_max, brauer_n_max)): items[lo:hi] of one check at p
-Slice = Tuple[str, int, int, int, Tuple[int, int]]
-
-
-@dataclass
-class VerificationReport:
-    """Result of one check at one prime; empty failures means pass."""
-
-    p: int
-    check: str
-    params_checked: int
-    failures: List[Dict[str, object]] = field(default_factory=list)
-    ms: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_obj(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "check": self.check,
-            "params_checked": self.params_checked,
-            "failures": self.failures,
-            "ms": self.ms,
-        }
+# (check, p, items): a run of consecutive items of one check at p
+Slice = Tuple[str, int, Sequence[object]]
 
 
 # ---------------------------------------------------------------------------
-# check definitions: items(p, opts) plus eval(p, item, opts) -> failure | None
+# check definitions: items(p) plus eval(p, item) -> failure | None
 
 
 def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
@@ -112,8 +87,8 @@ def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
     return {"param": w.to_json_obj(), "expected": closed, "actual": scanned}
 
 
-def _recursion_items(p: int, k_max: int) -> List[Tuple[str, int, int]]:
-    items = [("lemma", n, k) for n in range(1, p) for k in range(1, k_max + 1)]
+def _recursion_items(p: int) -> List[Tuple[str, int, int]]:
+    items = [("lemma", n, k) for n in range(1, p) for k in range(1, 3 * p + 1)]
     items += [("periodic", n, 0) for n in range(-2 * p, 4 * p + 1)]
     return items
 
@@ -150,38 +125,26 @@ def _eval_brauer(p: int, N: int) -> Optional[Dict[str, object]]:
     }
 
 
-def _items_for(check: str, p: int, opts: Tuple[int, int]) -> Sequence[object]:
-    k_max, brauer_n_max = opts
-    if check in ("main", "bm"):
-        return enumerate_params(p)
-    if check == "kmin":
-        return _kmin_items(p)
-    if check == "recursion":
-        return _recursion_items(p, k_max)
-    if check == "brauer":
-        return list(range(brauer_n_max + 1))
-    raise ValueError(f"unknown check {check!r}")
-
-
-_EVALS = {
-    "main": _eval_main,
-    "bm": _eval_bm,
-    "kmin": _eval_kmin,
-    "recursion": _eval_recursion,
-    "brauer": _eval_brauer,
+# name -> (items(p), evaluate(p, item)).  The enumerate_params lambdas look
+# the name up at call time, so a patched verify.enumerate_params applies.
+CHECKS = {
+    "main": (lambda p: enumerate_params(p), _eval_main),
+    "bm": (lambda p: enumerate_params(p), _eval_bm),
+    "kmin": (_kmin_items, _eval_kmin),
+    "recursion": (_recursion_items, _eval_recursion),
+    "brauer": (lambda p: range(3 * p * p + 1), _eval_brauer),
 }
 
 
 def _eval_slice(args: Slice) -> Tuple[List[Dict[str, object]], float]:
-    """Worker entry: evaluate items[lo:hi] of a check, in order.
+    """Worker entry: evaluate the items of a slice, in order.
 
     Returns the failures and the seconds the slice took.
     """
-    check, p, lo, hi, opts = args
+    check, p, items = args
     start = time.perf_counter()
-    ev = _EVALS[check]
-    results = (ev(p, item) for item in _items_for(check, p, opts)[lo:hi])
-    failures = [f for f in results if f is not None]
+    ev = CHECKS[check][1]
+    failures = [f for f in (ev(p, item) for item in items) if f is not None]
     return failures, time.perf_counter() - start
 
 
@@ -194,50 +157,47 @@ def run_suite(
     primes: Sequence[int],
     checks: Sequence[str] | str = "all",
     jobs: int = 1,
-    k_max: Optional[int] = None,
-    brauer_n_max: Optional[int] = None,
-    oracle_max_p: int = DEFAULT_MAX_ORACLE_P,
 ) -> Dict[str, object]:
     """Run the selected checks over the given primes.
 
     `checks` is "all" (the four standard checks) or a list of names from
     main/bm/kmin/recursion/brauer; "brauer" must be requested explicitly
-    and its primes must not exceed oracle_max_p.  Returns the aggregate
+    and its primes must not exceed MAX_ORACLE_P.  Raises ValueError when
+    no primes or no checks are given.  Returns the aggregate
     {"runs": [...], "pass": bool}; apart from the per-run "ms" field the
-    aggregate depends only on (primes, checks, k_max, brauer_n_max).
+    aggregate depends only on (primes, checks).
     """
     if isinstance(checks, str):
         names = list(ALL_CHECKS) if checks == "all" else [checks]
     else:
         names = list(ALL_CHECKS) if list(checks) == ["all"] else list(checks)
+    if not primes or not names:
+        raise ValueError("no primes or no checks selected; nothing to verify")
     for name in names:
-        if name not in KNOWN_CHECKS:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     for p in primes:
         if p == 2:
             raise UnsupportedPrimeError("p = 2 is not supported; the recipes differ there")
         if not is_odd_prime(p):
             raise UnsupportedPrimeError(f"{p} is not an odd prime")
-        if "brauer" in names and p > oracle_max_p:
-            raise ValueError(
-                f"brauer check capped at p <= {oracle_max_p} (pass oracle_max_p to raise)"
-            )
+        if "brauer" in names and p > MAX_ORACLE_P:
+            raise ValueError(f"brauer check capped at p <= {MAX_ORACLE_P}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    runs: List[VerificationReport] = []
+    runs: List[Dict[str, object]] = []
     tasks: List[Slice] = []
     owner: List[int] = []  # index into runs of each task
     for p in primes:
-        opts = (k_max if k_max is not None else 3 * p,
-                brauer_n_max if brauer_n_max is not None else 3 * p * p)
         for name in names:
-            n = len(_items_for(name, p, opts))
+            items = CHECKS[name][0](p)
+            n = len(items)
             # fewer than 2 * jobs items stay one slice
-            chunk = -(-n // jobs) if n >= 2 * jobs else max(n, 1)
+            chunk = -(-n // jobs) if n >= 2 * jobs else n
             for lo in range(0, n, chunk):
-                tasks.append((name, p, lo, min(lo + chunk, n), opts))
+                tasks.append((name, p, items[lo:lo + chunk]))
                 owner.append(len(runs))
-            runs.append(VerificationReport(p, name, n))
+            runs.append({"p": p, "check": name, "params_checked": n, "failures": [], "ms": 0})
     if jobs == 1:
         results = map(_eval_slice, tasks)
     else:
@@ -245,11 +205,8 @@ def run_suite(
             results = list(pool.map(_eval_slice, tasks))
     seconds = [0.0] * len(runs)
     for idx, (failures, elapsed) in zip(owner, results):
-        runs[idx].failures.extend(failures)
+        runs[idx]["failures"] += failures
         seconds[idx] += elapsed
     for run, s in zip(runs, seconds):
-        run.ms = int(round(1000 * s))
-    return {
-        "runs": [r.to_json_obj() for r in runs],
-        "pass": all(r.passed for r in runs),
-    }
+        run["ms"] = int(round(1000 * s))
+    return {"runs": runs, "pass": not any(run["failures"] for run in runs)}

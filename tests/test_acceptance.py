@@ -97,7 +97,7 @@ def test_criterion_3_kmin_formula():
 
 def test_criterion_4_grothendieck_identities():
     failures = 0
-    for r in _runs(PRIMES_31, "recursion"):  # k_max defaults to 3p
+    for r in _runs(PRIMES_31, "recursion"):  # lemma for k <= 3p
         p = r["p"]
         assert r["params_checked"] == (p - 1) * 3 * p + 6 * p + 1
         failures += len(r["failures"])

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from serrewt import cli
 from serrewt.cli import main
 
 TRES5 = '{"p":5,"type":"reducible","twist":0,"ratio":1,"shape":"tres","lambda_equal":true}'
@@ -169,16 +172,31 @@ def test_verify_range_parses_inclusive(capsys):
 
 
 def test_verify_brauer_needs_explicit_and_capped(capsys):
-    code, out, _ = run(capsys, "verify", "-p", "3", "--checks", "brauer",
-                       "--brauer-n-max", "12", "--format", "csv")
+    code, out, _ = run(capsys, "verify", "-p", "3", "--checks", "brauer", "--format", "csv")
     assert code == 0
-    assert out.strip().split(",")[1] == "brauer"
+    assert out.strip().split(",")[1:3] == ["brauer", "28"]  # N = 0..3p^2
     code, _, err = run(capsys, "verify", "-p", "37", "--checks", "brauer")
     assert code == 2
 
 
 def test_verify_unknown_check(capsys):
     assert run(capsys, "verify", "-p", "5", "--checks", "nope")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("-p", "24..28"),
+    ("-p", "1..1"),
+    ("-p", "4..4", "--format", "json"),
+])
+def test_verify_range_without_odd_prime_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--k-max", "--brauer-n-max", "--oracle-max-p"])
+def test_verify_coverage_flags_are_gone(capsys, flag):
+    assert run(capsys, "verify", "-p", "3", flag, "5")[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +251,7 @@ def test_output_deterministic(capsys):
 
 
 def test_max_p_env_sets_default_range(capsys, monkeypatch):
-    monkeypatch.setenv("SERREWT_MAX_P", "7")
+    monkeypatch.setattr(cli, "DEFAULT_MAX_P", 7)
     code, out, _ = run(capsys, "verify", "--checks", "bm", "--format", "csv")
     assert code == 0
     primes = [row.split(",")[0] for row in out.strip().splitlines()]
@@ -248,9 +266,10 @@ def test_jobs_env_is_accepted(capsys, monkeypatch):
 
 
 def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SERREWT_MAX_P", "many")
-    code, _, err = run(capsys, "verify", "--checks", "main")
+    monkeypatch.setenv("SERREWT_JOBS", "many")
+    code, _, err = run(capsys, "verify", "-p", "3", "--checks", "main")
     assert code == 2
+    assert "SERREWT_JOBS must be an integer" in err
 
 
 def test_jobs_env_below_one_is_usage_error(capsys, monkeypatch):

@@ -29,12 +29,27 @@ def test_breached_guard_raises_internal_invariant_error():
         _poly_divmod((1, 2, 3), (1, 2))  # divisor is not monic
 
 
-def test_verify_under_optimize_flag():
+def _run_optimized(*argv):
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "serrewt.cli", "verify", "-p", "3"],
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "serrewt.cli", *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_verify_under_optimize_flag():
+    proc = _run_optimized("verify", "-p", "3")
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "-p", "2"), 2),
+    (("verify", "-p", "24..28"), 2),
+    (("kmin", "-p", "5", "-a", "1", "-b", "2", "--search"), 0),
+    (("decompose", "-p", "5", "-N", "-1"), 2),
+])
+def test_exit_codes_under_optimize_flag(argv, code):
+    proc = _run_optimized(*argv)
+    assert proc.returncode == code, proc.stderr

@@ -2,17 +2,19 @@
 
 import copy
 import json
+from collections import Counter
 
 import pytest
 
 from serrewt import verify
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.verify import expected_param_count, run_suite
+from serrewt.oracle import MAX_ORACLE_P
+from serrewt.verify import ALL_CHECKS, expected_param_count, run_suite
 
 
-def _run(check, p, **kwargs):
+def _run(check, p):
     """The single run of one check at one prime."""
-    agg = run_suite([p], [check], **kwargs)
+    agg = run_suite([p], [check])
     (run,) = agg["runs"]
     assert agg["pass"] == (run["failures"] == [])
     return run
@@ -44,8 +46,11 @@ def test_check_kmin_formula_counts():
 
 
 def test_check_recursion_lemma():
-    assert not _run("recursion", 3, k_max=10)["failures"]
-    assert not _run("recursion", 7, k_max=20)["failures"]
+    for p in (3, 7):
+        r = _run("recursion", p)
+        assert not r["failures"]
+        # lemma for n < p, k <= 3p; periodic relation for n in [-2p, 4p]
+        assert r["params_checked"] == (p - 1) * 3 * p + 6 * p + 1
 
 
 def test_coverage_formula():
@@ -87,6 +92,13 @@ def test_run_suite_rejects_unknown_check():
         run_suite([5], "all", jobs=0)
 
 
+def test_run_suite_rejects_empty_selection():
+    with pytest.raises(ValueError):
+        run_suite([], "all")
+    with pytest.raises(ValueError):
+        run_suite([3], [])
+
+
 def test_run_suite_all_checks_small():
     agg = run_suite([3, 5], "all")
     assert agg["pass"]
@@ -101,17 +113,17 @@ def test_run_suite_deterministic_across_jobs():
 
 
 def test_run_suite_brauer_explicit():
-    agg = run_suite([3], ["brauer"], brauer_n_max=20)
+    agg = run_suite([3], ["brauer"])
     assert agg["pass"]
-    assert agg["runs"][0]["params_checked"] == 21  # N = 0..20
+    assert agg["runs"][0]["params_checked"] == 28  # N = 0..3p^2
 
 
 def test_run_suite_brauer_respects_oracle_cap():
-    with pytest.raises(ValueError):
+    assert MAX_ORACLE_P == 31
+    with pytest.raises(ValueError, match="p <= 31"):
         run_suite([37], ["brauer"])
-    # raising the cap is allowed (not run here; validation only)
     with pytest.raises(ValueError):
-        run_suite([37], ["brauer"], oracle_max_p=31)
+        run_suite([3, 37], ["main", "brauer"])
 
 
 class _CountingPool(verify.ProcessPoolExecutor):
@@ -129,4 +141,20 @@ def test_run_suite_opens_one_pool_per_call(monkeypatch):
     assert _CountingPool.opened == 0
     parallel = run_suite([3, 5], "all", jobs=2)
     assert _CountingPool.opened == 1
+    assert _strip_ms(serial) == _strip_ms(parallel)
+
+
+def test_run_suite_builds_each_item_list_once(monkeypatch):
+    built = Counter()
+    for name, (items, ev) in list(verify.CHECKS.items()):
+        def counted(p, name=name, items=items):
+            built[name, p] += 1
+            return items(p)
+        monkeypatch.setitem(verify.CHECKS, name, (counted, ev))
+    once = {(name, p): 1 for name in ALL_CHECKS for p in (3, 5)}
+    serial = run_suite([3, 5], "all", jobs=1)
+    assert built == once
+    built.clear()
+    parallel = run_suite([3, 5], "all", jobs=2)
+    assert built == once
     assert _strip_ms(serial) == _strip_ms(parallel)
