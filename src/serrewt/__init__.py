@@ -41,7 +41,6 @@ from .weights import (
     SerreWeight,
     VirtualClass,
     decompose_sym,
-    jh_multiplicity,
     k_min_closed,
     sym_class,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "cyclotomic_poly",
     "decompose_sym",
     "enumerate_params",
-    "jh_multiplicity",
     "k_cris",
     "k_min_closed",
     "k_min_of_set",

@@ -166,16 +166,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise _UsageError(f"-p must be an odd prime, got {args.p}")
     if args.N < 0:
         raise _UsageError(f"-N must be >= 0, got {args.N}")
-    factors = sorted(decompose_sym(args.p, args.N).items(),
-                     key=lambda kv: (kv[0].a, kv[0].b))
+    factors = decompose_sym(args.p, args.N).to_json_obj()
     if args.format == "csv":
-        _emit(_csv_text([(w.a, w.b, mult) for w, mult in factors]), args.out)
+        _emit(_csv_text([(f["a"], f["b"], f["mult"]) for f in factors]), args.out)
     elif args.format == "json":
-        obj = [{"a": w.a, "b": w.b, "mult": mult} for w, mult in factors]
-        _emit(json.dumps(obj), args.out)
+        _emit(json.dumps(factors), args.out)
     else:
-        lines = [f"{w} x {mult}" for w, mult in factors]
-        total = sum(mult * w.b for w, mult in factors)
+        lines = [f"V({f['a']},{f['b']}) x {f['mult']}" for f in factors]
+        total = sum(f["mult"] * f["b"] for f in factors)
         ok = "ok" if total == args.N + 1 else "MISMATCH"
         lines.append(f"dimension check: sum mult*b = {total} = N+1 [{ok}]")
         _emit("\n".join(lines), args.out)

@@ -39,7 +39,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .errors import InternalInvariantError
-from .weights import SerreWeight, _decompose, is_odd_prime, jh_multiplicity
+from .weights import SerreWeight, _decompose, is_odd_prime
 
 MAX_ORACLE_P = 31
 
@@ -325,9 +325,9 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
     counts = np.zeros((len(classes), n), dtype=np.int64)
     t = np.arange(N + 1, dtype=np.int64)[None, :]
     np.add.at(counts, (rows, (i * t + i2 * (N - t)) % n), 1)
-    for w, mult in _decompose(p, N).items():
-        tb = np.arange(w.b, dtype=np.int64)[None, :]
-        cells = (w.a * (i + i2) + i * tb + i2 * (w.b - 1 - tb)) % n
+    for (a, b), mult in _decompose(p, N).items():
+        tb = np.arange(b, dtype=np.int64)[None, :]
+        cells = (a * (i + i2) + i * tb + i2 * (b - 1 - tb)) % n
         np.add.at(counts, (rows, cells), -mult)
 
     # total absolute mass per row is at most 2(N+1); rules out int64 overflow
@@ -349,7 +349,8 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
 
 def k_min_search(p: int, w: SerreWeight) -> int:
     """Least k in [2, p^2] whose Sym^(k-2) contains w, by direct scan."""
+    key = (w.a, w.b) if w.p == p else None  # a weight at another prime never occurs
     for k in range(2, p * p + 1):
-        if jh_multiplicity(p, k, w) > 0:
+        if key in _decompose(p, k - 2):
             return k
     raise InternalInvariantError(f"no k <= p^2 contains {w}")

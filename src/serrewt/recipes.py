@@ -43,7 +43,7 @@ from .galois_params import (
     normalize_level2,
     param_to_dict,
 )
-from .weights import SerreWeight, jh_multiplicity, k_min_closed
+from .weights import SerreWeight, _decompose, k_min_closed
 
 WeightSet = Tuple[SerreWeight, ...]
 
@@ -209,9 +209,8 @@ def bm_set(param: InertialParam) -> WeightSet:
 
 
 def _weighted_jh_sum(p: int, k: int, support: List[Tuple[int, int, int]]) -> int:
-    return sum(
-        jh_multiplicity(p, k, SerreWeight(p, m, n + 1)) * mu for n, m, mu in support
-    )
+    factors = _decompose(p, k - 2)
+    return sum(factors.get((m, n + 1), 0) * mu for n, m, mu in support)
 
 
 def bm_multiplicity(param: InertialParam, k: int) -> int:

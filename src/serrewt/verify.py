@@ -99,7 +99,7 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
         lhs = sym_class(p, n + k * (p - 1))
         rhs = (
             sym_class(p, n)
-            + VirtualClass.of_weight(SerreWeight.reduced(p, n, p - n))
+            + VirtualClass(p, {(n % (p - 1), p - n): 1})
             + sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
         )
     else:
@@ -160,17 +160,18 @@ def run_suite(
 ) -> Dict[str, object]:
     """Run the selected checks over the given primes.
 
-    `checks` is "all" (the four standard checks) or a list of names from
-    main/bm/kmin/recursion/brauer; "brauer" must be requested explicitly
-    and its primes must not exceed MAX_ORACLE_P.  Raises ValueError when
-    no primes or no checks are given.  Returns the aggregate
+    `checks` is "all" (the four standard checks), one name, or a list of
+    names from main/bm/kmin/recursion/brauer; "all" is not a name, so a
+    list containing it is rejected.  "brauer" must be requested
+    explicitly and its primes must not exceed MAX_ORACLE_P.  Raises
+    ValueError when no primes or no checks are given.  Returns the aggregate
     {"runs": [...], "pass": bool}; apart from the per-run "ms" field the
     aggregate depends only on (primes, checks).
     """
-    if isinstance(checks, str):
-        names = list(ALL_CHECKS) if checks == "all" else [checks]
+    if checks == "all":
+        names = list(ALL_CHECKS)
     else:
-        names = list(ALL_CHECKS) if list(checks) == ["all"] else list(checks)
+        names = [checks] if isinstance(checks, str) else list(checks)
     if not primes or not names:
         raise ValueError("no primes or no checks selected; nothing to verify")
     for name in names:

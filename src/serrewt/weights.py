@@ -7,11 +7,11 @@ F_p are
 
 the "Serre weights".  This module implements:
 
-  * SerreWeight and VirtualClass (elements of the Grothendieck group of
-    finite-dimensional representations, i.e. integer combinations of the
-    V(a, b));
+  * SerreWeight, the public weight type, and VirtualClass (elements of the
+    Grothendieck group of finite-dimensional representations, i.e. integer
+    combinations of the V(a, b));
   * decompose_sym: the Jordan-Holder factors of Sym^N with multiplicity,
-    for every N >= 0;
+    as a VirtualClass, for every N >= 0;
   * sym_class: the class [Sym^N] for every integer N, using the
     conventions [Sym^(-1)] = 0 and, for N < -1,
     [Sym^N] = -[det^(N+1) (x) Sym^(-N-2)], which extend the periodic
@@ -23,6 +23,9 @@ the "Serre weights".  This module implements:
   * k_min_closed: the least k >= 2 such that a given weight occurs in
     Sym^(k-2), in closed form.
 
+Inside the library a weight at a known prime p is its pair (a, b): the
+cached decomposition and every VirtualClass are keyed by such pairs, and
+a SerreWeight is built only where a weight enters or leaves the library.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import InternalInvariantError
 
@@ -54,6 +57,13 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def _require_weight_range(p: int, a: int, b: int) -> None:
+    if not 0 <= a <= p - 2:
+        raise ValueError(f"twist exponent a={a} outside [0, {p - 2}]")
+    if not 1 <= b <= p:
+        raise ValueError(f"dimension parameter b={b} outside [1, {p}]")
+
+
 @dataclass(frozen=True, order=True)
 class SerreWeight:
     """The irreducible representation det^a (x) Sym^(b-1) of GL2(F_p)."""
@@ -64,10 +74,7 @@ class SerreWeight:
 
     def __post_init__(self) -> None:
         _require_odd_prime(self.p)
-        if not 0 <= self.a <= self.p - 2:
-            raise ValueError(f"twist exponent a={self.a} outside [0, {self.p - 2}]")
-        if not 1 <= self.b <= self.p:
-            raise ValueError(f"dimension parameter b={self.b} outside [1, {self.p}]")
+        _require_weight_range(self.p, self.a, self.b)
 
     @classmethod
     def reduced(cls, p: int, a: int, b: int) -> "SerreWeight":
@@ -91,39 +98,36 @@ class SerreWeight:
 class VirtualClass:
     """An integer linear combination of Serre-weight classes at a fixed prime.
 
-    Zero coefficients are never stored.  Instances are immutable in intent;
-    arithmetic returns new objects.
+    VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); every
+    key must be a weight at p (0 <= a <= p-2, 1 <= b <= p) or ValueError
+    is raised.  Zero coefficients are never stored.  Instances are
+    immutable in intent; arithmetic returns new objects.  Weights leave a
+    class as SerreWeight objects, through items().
     """
 
     __slots__ = ("p", "_coeffs")
 
-    def __init__(self, p: int, coeffs: Mapping[SerreWeight, int] | None = None):
+    def __init__(self, p: int, coeffs: Mapping[Tuple[int, int], int] | None = None):
         _require_odd_prime(p)
-        store: Dict[SerreWeight, int] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if w.p != p:
-                    raise ValueError(f"weight {w} has prime {w.p}, class has {p}")
-                if c:
-                    store[w] = store.get(w, 0) + c
-                    if not store[w]:
-                        del store[w]
+        store: Dict[Tuple[int, int], int] = {}
+        for (a, b), c in (coeffs or {}).items():
+            _require_weight_range(p, a, b)
+            if c:
+                store[(a, b)] = c
         self.p = p
         self._coeffs = store
 
     @classmethod
     def of_weight(cls, w: SerreWeight, mult: int = 1) -> "VirtualClass":
-        return cls(w.p, {w: mult})
+        return cls(w.p, {(w.a, w.b): mult})
 
     def coefficient(self, w: SerreWeight) -> int:
-        return self._coeffs.get(w, 0)
+        """Coefficient of w; 0 for a weight at another prime."""
+        return self._coeffs.get((w.a, w.b), 0) if w.p == self.p else 0
 
     def items(self) -> List[Tuple[SerreWeight, int]]:
         """Coefficients sorted lexicographically by (a, b)."""
-        return sorted(self._coeffs.items(), key=lambda kv: (kv[0].a, kv[0].b))
-
-    def __iter__(self) -> Iterator[SerreWeight]:
-        return iter(self._coeffs)
+        return [(SerreWeight(self.p, a, b), c) for (a, b), c in sorted(self._coeffs.items())]
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -140,30 +144,28 @@ class VirtualClass:
         if self.p != other.p:
             raise ValueError("cannot add classes at different primes")
         out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0) + c
+        for key, c in other._coeffs.items():
+            out[key] = out.get(key, 0) + c
         return VirtualClass(self.p, out)
 
     def __sub__(self, other: "VirtualClass") -> "VirtualClass":
         return self + (-other)
 
     def __neg__(self) -> "VirtualClass":
-        return VirtualClass(self.p, {w: -c for w, c in self._coeffs.items()})
+        return VirtualClass(self.p, {key: -c for key, c in self._coeffs.items()})
 
     def twist(self, t: int) -> "VirtualClass":
         """Tensor by det^t (a bijection on weights, so coefficients move)."""
-        return VirtualClass(self.p, {w.twist(t): c for w, c in self._coeffs.items()})
+        q = self.p - 1
+        return VirtualClass(self.p, {((a + t) % q, b): c for (a, b), c in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualClass):
             return NotImplemented
         return self.p == other.p and self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.p, frozenset(self._coeffs.items())))
-
     def to_json_obj(self) -> List[Dict[str, int]]:
-        return [{"a": w.a, "b": w.b, "mult": c} for w, c in self.items()]
+        return [{"a": a, "b": b, "mult": c} for (a, b), c in sorted(self._coeffs.items())]
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -173,8 +175,9 @@ class VirtualClass:
 
 
 @lru_cache(maxsize=None)
-def _decompose(p: int, N: int) -> Dict[SerreWeight, int]:
-    """Cached Jordan-Holder factors of Sym^N; callers must not mutate."""
+def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
+    """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}; callers
+    must not mutate."""
     _require_odd_prime(p)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -195,27 +198,20 @@ def _decompose(p: int, N: int) -> Dict[SerreWeight, int]:
     if M >= 0:
         key = (t % q, M + 1)
         factors[key] = factors.get(key, 0) + 1
-    out = {SerreWeight(p, a, b): c for (a, b), c in factors.items()}
-    if sum(c * w.b for w, c in out.items()) != N + 1:
+    if sum(c * b for (_, b), c in factors.items()) != N + 1:
         raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")
-    return out
+    return factors
 
 
-def decompose_sym(p: int, N: int) -> Dict[SerreWeight, int]:
-    """Jordan-Holder factors of Sym^N with multiplicities, as a dict.
+def decompose_sym(p: int, N: int) -> VirtualClass:
+    """Jordan-Holder factors of Sym^N with multiplicities; N < 0 raises
+    ValueError.
 
     Every multiplicity is >= 1, the dimensions satisfy
     sum(mult * b) = N + 1, and every factor V(a, b) has central character
     (2a + b - 1) = N mod p-1.
     """
-    return dict(_decompose(p, N))
-
-
-def jh_multiplicity(p: int, k: int, w: SerreWeight) -> int:
-    """Multiplicity of w among the factors of Sym^(k-2); 0 if absent."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return _decompose(p, k - 2).get(w, 0)
+    return VirtualClass(p, _decompose(p, N))
 
 
 def sym_class(p: int, N: int) -> VirtualClass:

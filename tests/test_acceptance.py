@@ -156,7 +156,7 @@ def test_criterion_7_structural_invariants():
         for N in range(0, 5 * p * p + 1):
             factors = decompose_sym(p, N)
             assert sum(m * w.b for w, m in factors.items()) == N + 1
-            for w in factors:
+            for w, _ in factors.items():
                 assert (2 * w.a + w.b - 1) % (p - 1) == N % (p - 1)
     # twist equivariance of both weight-set recipes
     for p in (3, 5, 7):

@@ -37,6 +37,23 @@ def test_decompose_json(capsys):
     assert obj == sorted(obj, key=lambda o: (o["a"], o["b"]))
 
 
+# stdout of `decompose -p 5 -N 30` in each format, byte for byte
+DECOMPOSE_5_30 = {
+    "json": '[{"a": 0, "b": 3, "mult": 3}, {"a": 1, "b": 1, "mult": 2}, '
+            '{"a": 1, "b": 5, "mult": 1}, {"a": 2, "b": 3, "mult": 3}, '
+            '{"a": 3, "b": 1, "mult": 1}, {"a": 3, "b": 5, "mult": 1}]\n',
+    "csv": "0,3,3\n1,1,2\n1,5,1\n2,3,3\n3,1,1\n3,5,1\n",
+    "table": "V(0,3) x 3\nV(1,1) x 2\nV(1,5) x 1\nV(2,3) x 3\nV(3,1) x 1\nV(3,5) x 1\n"
+             "dimension check: sum mult*b = 31 = N+1 [ok]\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DECOMPOSE_5_30))
+def test_decompose_output_bytes(capsys, fmt):
+    code, out, err = run(capsys, "decompose", "-p", "5", "-N", "30", "--format", fmt)
+    assert (code, out, err) == (0, DECOMPOSE_5_30[fmt], "")
+
+
 def test_decompose_table_with_dimension_check(capsys):
     code, out, _ = run(capsys, "decompose", "-p", "7", "-N", "0")
     assert code == 0

@@ -88,6 +88,8 @@ def test_run_suite_rejects_p2():
 def test_run_suite_rejects_unknown_check():
     with pytest.raises(ValueError):
         run_suite([5], ["mian"])
+    with pytest.raises(ValueError):  # "all" is a spelling of `checks`, not a name
+        run_suite([5], ["all"])
     with pytest.raises(ValueError):
         run_suite([5], "all", jobs=0)
 

@@ -8,7 +8,6 @@ from serrewt.weights import (
     SerreWeight,
     VirtualClass,
     decompose_sym,
-    jh_multiplicity,
     k_min_closed,
     sym_class,
 )
@@ -66,8 +65,8 @@ def test_central_character():
 
 
 def test_virtual_class_arithmetic():
-    x = VirtualClass(5, {W(5, 0, 2): 1, W(5, 1, 4): 2})
-    y = VirtualClass(5, {W(5, 1, 4): -2, W(5, 3, 1): 1})
+    x = VirtualClass(5, {(0, 2): 1, (1, 4): 2})
+    y = VirtualClass(5, {(1, 4): -2, (3, 1): 1})
     z = x + y
     assert z.coefficient(W(5, 1, 4)) == 0
     assert len(z) == 2
@@ -79,14 +78,19 @@ def test_virtual_class_arithmetic():
 
 
 def test_virtual_class_rejects_mixed_primes():
+    # a key is a weight at the class's prime: 0 <= a <= p-2, 1 <= b <= p
+    for key in ((4, 1), (0, 0), (0, 6)):
+        with pytest.raises(ValueError):
+            VirtualClass(5, {key: 1})
     with pytest.raises(ValueError):
-        VirtualClass(5, {W(7, 0, 1): 1})
-    with pytest.raises(ValueError):
-        VirtualClass(5, {W(5, 0, 1): 1}) + VirtualClass(7, {W(7, 0, 1): 1})
+        VirtualClass(5, {(0, 1): 1}) + VirtualClass(7, {(0, 1): 1})
+    # a weight at another prime has coefficient 0
+    assert VirtualClass(5, {(0, 1): 1}).coefficient(W(5, 0, 1)) == 1
+    assert VirtualClass(5, {(0, 1): 1}).coefficient(W(7, 0, 1)) == 0
 
 
 def test_virtual_class_json_ordering():
-    x = VirtualClass(5, {W(5, 1, 4): 1, W(5, 0, 2): 3, W(5, 1, 1): -2})
+    x = VirtualClass(5, {(1, 4): 1, (0, 2): 3, (1, 1): -2})
     assert x.to_json_obj() == [
         {"a": 0, "b": 2, "mult": 3},
         {"a": 1, "b": 1, "mult": -2},
@@ -99,20 +103,20 @@ def test_virtual_class_json_ordering():
 
 
 def test_decompose_below_p_is_irreducible():
-    assert decompose_sym(7, 3) == {W(7, 0, 4): 1}
-    assert decompose_sym(5, 0) == {W(5, 0, 1): 1}
+    assert decompose_sym(7, 3) == VirtualClass(7, {(0, 4): 1})
+    assert decompose_sym(5, 0) == VirtualClass(5, {(0, 1): 1})
 
 
 def test_decompose_sym_p_equals_p():
     # Sym^p splits as Sym^1 plus det (x) Sym^(p-2)
     for p in (3, 5, 7, 11):
-        assert decompose_sym(p, p) == {W(p, 0, 2): 1, W(p, 1, p - 1): 1}
+        assert decompose_sym(p, p) == VirtualClass(p, {(0, 2): 1, (1, p - 1): 1})
 
 
 def test_decompose_p3_n4():
     # one recursion step with n = 2; the det^2 factor reduces to det^0
     factors = decompose_sym(3, 4)
-    assert factors == {W(3, 0, 3): 1, W(3, 0, 1): 1, W(3, 1, 1): 1}
+    assert factors == VirtualClass(3, {(0, 3): 1, (0, 1): 1, (1, 1): 1})
     assert sum(m * w.b for w, m in factors.items()) == 5
 
 
@@ -128,8 +132,8 @@ def test_dimension_conservation_and_central_character(p):
     for N in range(0, 5 * p * p + 1, 7):
         factors = decompose_sym(p, N)
         assert sum(m * w.b for w, m in factors.items()) == N + 1
-        assert all(m >= 1 for m in factors.values())
-        for w in factors:
+        assert all(m >= 1 for _, m in factors.items())
+        for w, _ in factors.items():
             assert w.central_character() == N % (p - 1)
 
 
@@ -150,15 +154,15 @@ def test_decompose_handles_huge_n():
 
 
 # ---------------------------------------------------------------------------
-# jh_multiplicity
+# multiplicity of one weight in Sym^(k-2)
 
 
 def test_jh_multiplicity():
-    assert jh_multiplicity(5, 7, W(5, 0, 2)) == 1
-    assert jh_multiplicity(5, 7, W(5, 0, 5)) == 0
-    assert jh_multiplicity(5, 3, W(5, 0, 2)) == 1
+    assert decompose_sym(5, 7 - 2).coefficient(W(5, 0, 2)) == 1
+    assert decompose_sym(5, 7 - 2).coefficient(W(5, 0, 5)) == 0
+    assert decompose_sym(5, 3 - 2).coefficient(W(5, 0, 2)) == 1
     with pytest.raises(ValueError):
-        jh_multiplicity(5, 1, W(5, 0, 1))
+        decompose_sym(5, 1 - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def test_sym_class_negative_three():
     # The periodic relation at n = -1 pins the value independently:
     # [S_3] - [S_(-1)] = det (x) ([S_(-3)] - [S_(-7)]).
     got = sym_class(5, -3)
-    assert got == VirtualClass(5, {W(5, 2, 2): -1})
+    assert got == VirtualClass(5, {(2, 2): -1})
     lhs = sym_class(5, 3) - sym_class(5, -1)
     rhs = (sym_class(5, -3) - sym_class(5, -7)).twist(1)
     assert lhs == rhs
@@ -222,7 +226,7 @@ def test_k_min_closed_on_the_boundary():
 def test_k_min_closed_example_by_scan():
     # independent scan: the first symmetric power containing V(1,2) at p=5
     target = W(5, 1, 2)
-    first = next(k for k in range(2, 25) if jh_multiplicity(5, k, target) > 0)
+    first = next(k for k in range(2, 25) if decompose_sym(5, k - 2).coefficient(target) > 0)
     assert first == 9
     assert k_min_closed(target) == 9
 
