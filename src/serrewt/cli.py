@@ -189,7 +189,7 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc))
     closed = k_min_closed(w)
     if args.search:
-        scanned = k_min_search(args.p, w)
+        scanned = k_min_search(w)
         agree = "match" if closed == scanned else "MISMATCH"
         if args.format == "json":
             obj = {"p": args.p, "a": args.a, "b": args.b, "k_min": closed,

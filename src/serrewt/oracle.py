@@ -28,13 +28,18 @@ integer c0 + p*c1, picks the generator g with the smallest encoding, and
 maps g to the residue x in Z[x]/Phi_n.  Discrete logarithms are read from
 a table of the powers of g, so the oracles are intended for desk-scale
 primes (p <= MAX_ORACLE_P = 31; the ring degree is phi(p^2 - 1)).
+
+A Brauer character at a p-regular class depends only on the exponents
+(i, i') of the class's lifted eigenvalues g^i, g^i', so a class is that
+pair of ints: p_regular_classes(p) returns them, and a failure entry names
+its class as repr((i, i')).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -133,8 +138,6 @@ def _prime_factors(n: int) -> List[int]:
 @lru_cache(maxsize=None)
 def _dlog_table(p: int) -> Dict[int, int]:
     """encoding(c0 + c1 t) = c0 + p c1  ->  discrete log base the generator."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
     c, d = _smallest_irreducible_quadratic(p)
     n = p * p - 1
 
@@ -172,79 +175,33 @@ def _dlog_table(p: int) -> Dict[int, int]:
     return table
 
 
-def field_log(p: int, x: int) -> int:
-    """Discrete log of x in F_p^* under the embedding into the p^2 field."""
-    if not 1 <= x <= p - 1:
-        raise ValueError(f"x={x} is not a unit of F_{p}")
-    return _dlog_table(p)[x]
-
-
 # ---------------------------------------------------------------------------
-# p-regular classes and Brauer characters
-
-
-@dataclass(frozen=True, order=True)
-class CentralClass:
-    """Scalar matrix diag(x, x), x a unit of F_p."""
-
-    p: int
-    x: int
-
-
-@dataclass(frozen=True, order=True)
-class SplitClass:
-    """diag(x, y) with distinct units x < y of F_p."""
-
-    p: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True, order=True)
-class NonsplitClass:
-    """Eigenvalues g^j, g^(pj) outside F_p; j is the smaller of the orbit
-    {j, pj mod p^2-1} and is never divisible by p+1."""
-
-    p: int
-    j: int
-
-
-PRegularClass = Union[CentralClass, SplitClass, NonsplitClass]
+# p-regular classes as eigenvalue-exponent pairs
 
 
 @lru_cache(maxsize=None)
-def p_regular_classes(p: int) -> Tuple[PRegularClass, ...]:
-    """Conjugacy classes of p-regular elements of GL2(F_p).
+def p_regular_classes(p: int) -> Tuple[Tuple[int, int], ...]:
+    """Conjugacy classes of p-regular elements of GL2(F_p), each as the
+    exponents (i, i') of its Teichmuller-lifted eigenvalues zeta^i, zeta^i'.
 
-    Counts: p-1 central, (p-1)(p-2)/2 split, p(p-1)/2 non-split, for a
-    total of p(p-1), the number of irreducible Brauer characters.
+    Order: the p-1 central classes diag(x, x) for x = 1..p-1 (i = i'),
+    then the (p-1)(p-2)/2 split classes diag(x, y) with units x < y (both
+    exponents divisible by p+1), then the p(p-1)/2 non-split classes
+    (j, pj mod p^2-1) with j the smaller of its orbit and not divisible by
+    p+1.  The total p(p-1) is the number of irreducible Brauer characters.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    out: List[PRegularClass] = [CentralClass(p, x) for x in range(1, p)]
-    out.extend(SplitClass(p, x, y) for x in range(1, p) for y in range(x + 1, p))
+    log = _dlog_table(p)
+    units = [log[x] for x in range(1, p)]  # F_p^* sits at encodings 1..p-1
+    out = [(i, i) for i in units]
+    out.extend((units[x], units[y]) for x in range(p - 1) for y in range(x + 1, p - 1))
     n = p * p - 1
-    seen = set()
-    for j in range(1, n):
-        if j % (p + 1) == 0:
-            continue
-        rep = min(j, (p * j) % n)
-        seen.add(rep)
-    out.extend(NonsplitClass(p, j) for j in sorted(seen))
+    reps = {min(j, (p * j) % n) for j in range(1, n) if j % (p + 1)}
+    out.extend((j, (p * j) % n) for j in sorted(reps))
     if len(out) != p * (p - 1):
         raise InternalInvariantError(f"{len(out)} p-regular classes at p={p}")
     return tuple(out)
-
-
-def class_exponents(c: PRegularClass) -> Tuple[int, int]:
-    """Exponents (i, i') with Teichmuller-lifted eigenvalues zeta^i, zeta^i'."""
-    p = c.p
-    if isinstance(c, CentralClass):
-        i = field_log(p, c.x)
-        return i, i
-    if isinstance(c, SplitClass):
-        return field_log(p, c.x), field_log(p, c.y)
-    return c.j, (p * c.j) % (p * p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +220,6 @@ class DecompositionReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json_obj(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "N": self.N,
-            "classes_checked": self.classes_checked,
-            "failures": self.failures,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +248,6 @@ def _reduction_table(n: int) -> Tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64), tmax
 
 
-def _class_exponent_matrix(p: int) -> np.ndarray:
-    return np.array([class_exponents(c) for c in p_regular_classes(p)], dtype=np.int64)
-
-
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N): for every p-regular class, the Brauer
     character of Sym^N must equal the multiplicity-weighted character sum
@@ -317,9 +262,8 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
     classes = p_regular_classes(p)
     n = p * p - 1
     table, tmax = _reduction_table(n)
-    exps = _class_exponent_matrix(p)
-    i = exps[:, 0][:, None]
-    i2 = exps[:, 1][:, None]
+    exps = np.array(classes, dtype=np.int64)
+    i, i2 = exps[:, :1], exps[:, 1:]  # column vectors of the two exponents
     rows = np.arange(len(classes))[:, None]
 
     counts = np.zeros((len(classes), n), dtype=np.int64)
@@ -334,22 +278,16 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
     if not 2 * (N + 1) * tmax < 2**62:
         raise InternalInvariantError(f"int64 residual could overflow at p={p}, N={N}")
     residual = counts @ table
-    bad = np.nonzero(np.any(residual != 0, axis=1))[0]
-    failures = []
-    for idx in bad:
-        c = classes[int(idx)]
-        failures.append(
-            {
-                "class": repr(c),
-                "residual": [int(v) for v in residual[int(idx)]],
-            }
-        )
+    failures = [
+        {"class": repr(classes[k]), "residual": [int(v) for v in residual[k]]}
+        for k in map(int, np.nonzero(np.any(residual != 0, axis=1))[0])
+    ]
     return DecompositionReport(p, N, len(classes), failures)
 
 
-def k_min_search(p: int, w: SerreWeight) -> int:
-    """Least k in [2, p^2] whose Sym^(k-2) contains w, by direct scan."""
-    key = (w.a, w.b) if w.p == p else None  # a weight at another prime never occurs
+def k_min_search(w: SerreWeight) -> int:
+    """Least k in [2, p^2] whose Sym^(k-2) contains w, by direct scan at w.p."""
+    p, key = w.p, (w.a, w.b)
     for k in range(2, p * p + 1):
         if key in _decompose(p, k - 2):
             return k

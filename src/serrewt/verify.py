@@ -81,7 +81,7 @@ def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
     a, b = item
     w = SerreWeight(p, a, b)
     closed = k_min_closed(w)
-    scanned = k_min_search(p, w)
+    scanned = k_min_search(w)
     if closed == scanned:
         return None
     return {"param": w.to_json_obj(), "expected": closed, "actual": scanned}

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 from serrewt.oracle import (
-    PRegularClass,
     _phi_degree,
     _poly_divmod,
     _poly_mul,
     _poly_trim,
-    class_exponents,
     cyclotomic_poly,
 )
 from serrewt.weights import SerreWeight
@@ -90,12 +88,11 @@ def _element_from_exponent_counts(n: int, counts: Dict[int, int]) -> CyclotomicE
     return CyclotomicElement(n, _reduce_mod_phi(n, dense))
 
 
-def brauer_char_weight(w: SerreWeight, c: PRegularClass) -> CyclotomicElement:
-    """Brauer character of V(a, b) at the class: (uv)^a * sum u^t v^(b-1-t)."""
-    if w.p != c.p:
-        raise ValueError("weight and class live at different primes")
+def brauer_char_weight(w: SerreWeight, c: Tuple[int, int]) -> CyclotomicElement:
+    """Brauer character of V(a, b) at the class with eigenvalue exponents
+    c = (i, i'): (uv)^a * sum u^t v^(b-1-t) with u = zeta^i, v = zeta^i'."""
     n = w.p * w.p - 1
-    i, i2 = class_exponents(c)
+    i, i2 = c
     counts: Dict[int, int] = {}
     base = w.a * (i + i2)
     for t in range(w.b):
@@ -104,14 +101,13 @@ def brauer_char_weight(w: SerreWeight, c: PRegularClass) -> CyclotomicElement:
     return _element_from_exponent_counts(n, counts)
 
 
-def brauer_char_sym(p: int, N: int, c: PRegularClass) -> CyclotomicElement:
-    """Brauer character of Sym^N at the class: sum_{t<=N} u^t v^(N-t)."""
+def brauer_char_sym(p: int, N: int, c: Tuple[int, int]) -> CyclotomicElement:
+    """Brauer character of Sym^N at the class with eigenvalue exponents
+    c = (i, i'): sum_{t<=N} u^t v^(N-t)."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if p != c.p:
-        raise ValueError("prime and class disagree")
     n = p * p - 1
-    i, i2 = class_exponents(c)
+    i, i2 = c
     counts: Dict[int, int] = {}
     for t in range(N + 1):
         e = (t * i + (N - t) * i2) % n

@@ -32,9 +32,9 @@ def _report(line):
     print(line, flush=True)
 
 
-def _runs(primes, check, **kwargs):
+def _runs(primes, check):
     """run_suite's runs of one check over the primes, single worker."""
-    return run_suite(primes, [check], jobs=1, **kwargs)["runs"]
+    return run_suite(primes, [check], jobs=1)["runs"]
 
 
 def test_criterion_1_main_theorem():

@@ -1,0 +1,174 @@
+"""Mutation suite: the verifier must be shown to fail, not only to pass.
+
+Each case plants one single-point fault by monkeypatching and requires
+run_suite over p in {3, 5, 7}, all five checks, single worker, to report
+failures in the check(s) named with it.  Each fault is a copy of the
+library's behaviour with one rule changed; the checks that catch it:
+
+  * k_min_closed: the boundary a + b < p read as a + b <= p (kmin, main);
+  * _weight_row: the p = 3 split row replaced by the p > 3 one (bm);
+  * _weight_row: the split row at bb = p-2 replaced by the generic split
+    row (bm);
+  * kisin_mu: the tres ramifiee case (mu = 0 at n = 0) dropped (bm, main);
+  * serre_k: the peu and tres values swapped (main);
+  * _decompose: one factor of each Sym^N (N >= p-1) twisted by det,
+    patched wherever the library holds it, i.e. in weights, recipes and
+    oracle (recursion, main, kmin, brauer);
+  * normalize_level2: the exponent reduced modulo p^2 - 2, not p^2 - 1
+    (bm).
+
+Kill rate: 7 of 8 planted faults are caught.  The survivor is a
+documented blind spot and is not asserted: changing the split
+multiplicity `4 if lam else 2` in kisin_mu (n = p-2) to 2 passes every
+check.  Only whether mu > 0 enters bm_set, and k_cris is the least k whose
+weighted Jordan-Holder sum is positive, so no check reads the size of a
+positive mu.  Catching it needs a check of the Breuil-Mezard
+multiplicities themselves.
+"""
+
+import sys
+from functools import lru_cache
+
+import pytest
+
+from serrewt import galois_params, recipes, weights
+from serrewt.galois_params import SHAPE_PEU, SHAPE_SPLIT, SHAPE_TRES
+from serrewt.verify import CHECKS, run_suite
+
+PRIMES = [3, 5, 7]
+
+
+def _patch_everywhere(monkeypatch, orig, fault):
+    """Replace every serrewt module attribute bound to `orig` by `fault`."""
+    hits = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "serrewt" or name.startswith("serrewt.")):
+            continue
+        for attr, val in list(vars(module).items()):
+            if val is orig:
+                monkeypatch.setattr(module, attr, fault)
+                hits += 1
+    assert hits, f"{orig!r} is bound nowhere"
+
+
+def _failing_checks():
+    report = run_suite(PRIMES, list(CHECKS), jobs=1)
+    return {run["check"] for run in report["runs"] if run["failures"]}
+
+
+# ---------------------------------------------------------------------------
+# the faults
+
+
+def _k_min_closed_boundary(w):
+    p, a, b = w.p, w.a, w.b
+    if a + b <= p:  # fault: was a + b < p
+        return a * (p + 1) + b + 1
+    return (a + 1) * (p + 1) + b * p - p * p
+
+
+def _weight_row_p3_split(orig):
+    def fault(param):
+        p, r = param.p, param.ratio
+        if p == 3 and param.shape == SHAPE_SPLIT and r == 1:
+            return [(0, p), (0, 1), (1, p - 2)]  # fault: the p > 3 row
+        return orig(param)
+    return fault
+
+
+def _weight_row_bb_p_minus_2(orig):
+    def fault(param):
+        p, bb = param.p, param.ratio if param.ratio >= 1 else param.p - 1
+        if p > 3 and param.shape == SHAPE_SPLIT and bb == p - 2:
+            return [(0, bb), (bb, p - 1 - bb)]  # fault: the generic split row
+        return orig(param)
+    return fault
+
+
+def _kisin_mu_no_tres(orig):
+    def fault(param, n, m):
+        if getattr(param, "shape", None) == SHAPE_TRES and n == 0 and m == param.twist:
+            return 1  # fault: the tres case (mu = 0 at n = 0) is gone
+        return orig(param, n, m)
+    return fault
+
+
+def _serre_k_peu_tres_swapped(orig):
+    def fault(param):
+        shape = getattr(param, "shape", None)
+        m, p = getattr(param, "twist", 0), param.p
+        if shape == SHAPE_TRES:
+            return m * (p + 1) + 2  # fault: the peu value
+        if shape == SHAPE_PEU:
+            return (m + 1) * (p + 1)  # fault: the tres value
+        return orig(param)
+    return fault
+
+
+_DECOMPOSE = weights._decompose.__wrapped__
+
+
+def _decompose_one_factor_twisted(p, N):
+    factors = dict(_DECOMPOSE(p, N))
+    if N >= p - 1:
+        (a, b) = min(factors)
+        mult = factors.pop((a, b))
+        key = ((a + 1) % (p - 1), b)  # fault: one factor twisted by det
+        factors[key] = factors.get(key, 0) + mult
+    return factors
+
+
+def _normalize_level2_off_by_one(orig):
+    def fault(p, e):
+        return orig(p, e % (p * p - 2))  # fault: reduced modulo p^2 - 2, not p^2 - 1
+    return fault
+
+
+# name -> (install(monkeypatch), checks that must report failures)
+MUTANTS = {
+    "k_min_closed_boundary": (
+        lambda mp: _patch_everywhere(mp, weights.k_min_closed, _k_min_closed_boundary),
+        {"kmin", "main"},
+    ),
+    "weight_row_p3_split": (
+        lambda mp: mp.setattr(recipes, "_weight_row", _weight_row_p3_split(recipes._weight_row)),
+        {"bm"},
+    ),
+    "weight_row_bb_p_minus_2": (
+        lambda mp: mp.setattr(recipes, "_weight_row", _weight_row_bb_p_minus_2(recipes._weight_row)),
+        {"bm"},
+    ),
+    "kisin_mu_tres": (
+        lambda mp: mp.setattr(recipes, "kisin_mu", _kisin_mu_no_tres(recipes.kisin_mu)),
+        {"bm", "main"},
+    ),
+    "serre_k_peu_tres": (
+        lambda mp: _patch_everywhere(mp, recipes.serre_k, _serre_k_peu_tres_swapped(recipes.serre_k)),
+        {"main"},
+    ),
+    "decompose_one_factor": (
+        lambda mp: _patch_everywhere(
+            mp, weights._decompose, lru_cache(maxsize=None)(_decompose_one_factor_twisted)
+        ),
+        {"recursion", "main", "kmin", "brauer"},
+    ),
+    "normalize_level2_off_by_one": (
+        lambda mp: _patch_everywhere(
+            mp, galois_params.normalize_level2,
+            _normalize_level2_off_by_one(galois_params.normalize_level2),
+        ),
+        {"bm"},
+    ),
+}
+
+
+def test_unmutated_suite_passes():
+    assert _failing_checks() == set()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_killed(name, monkeypatch):
+    install, expected = MUTANTS[name]
+    install(monkeypatch)
+    caught = _failing_checks()
+    assert expected <= caught, f"{name}: caught by {sorted(caught)}, expected {sorted(expected)}"

@@ -1,21 +1,21 @@
 """Tests for the Brauer-character and scan oracles."""
 
+import json
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrewt import cli, oracle
 from serrewt.oracle import (
-    CentralClass,
-    NonsplitClass,
-    SplitClass,
-    class_exponents,
     cyclotomic_poly,
-    field_log,
     k_min_search,
     p_regular_classes,
     verify_decomposition,
 )
-from serrewt.weights import SerreWeight, decompose_sym, k_min_closed
+from serrewt.verify import run_suite
+from serrewt.weights import SerreWeight, _decompose, decompose_sym, k_min_closed
 
 from brauer_reference import (
     brauer_char_sym,
@@ -86,7 +86,23 @@ def test_zeta_power_relations():
 
 
 # ---------------------------------------------------------------------------
-# classes
+# classes: eigenvalue-exponent pairs (i, i')
+
+
+def _kind(p, c):
+    """central iff i = i'; split iff i != i' and p+1 divides both; non-split
+    iff p+1 does not divide i."""
+    i, i2 = c
+    if i == i2:
+        return "central"
+    if i % (p + 1) == 0 and i2 % (p + 1) == 0:
+        return "split"
+    assert i % (p + 1) != 0, c
+    return "nonsplit"
+
+
+def _of_kind(p, kind):
+    return [c for c in p_regular_classes(p) if _kind(p, c) == kind]
 
 
 def test_class_counts():
@@ -94,34 +110,35 @@ def test_class_counts():
     assert len(p_regular_classes(5)) == 20  # 4 + 6 + 10
     for p in (3, 5, 7, 11, 13):
         classes = p_regular_classes(p)
-        central = [c for c in classes if isinstance(c, CentralClass)]
-        split = [c for c in classes if isinstance(c, SplitClass)]
-        nonsplit = [c for c in classes if isinstance(c, NonsplitClass)]
-        assert len(central) == p - 1
-        assert len(split) == (p - 1) * (p - 2) // 2
-        assert len(nonsplit) == p * (p - 1) // 2
+        kinds = [_kind(p, c) for c in classes]
+        # central, then split, then non-split
+        assert kinds == sorted(kinds, key=["central", "split", "nonsplit"].index)
+        assert kinds.count("central") == p - 1
+        assert kinds.count("split") == (p - 1) * (p - 2) // 2
+        assert kinds.count("nonsplit") == p * (p - 1) // 2
         assert len(classes) == p * (p - 1)
+        assert len(set(classes)) == len(classes)
 
 
 def test_nonsplit_class_representatives():
-    for c in p_regular_classes(7):
-        if isinstance(c, NonsplitClass):
-            n = 48
-            assert c.j % 8 != 0  # not divisible by p+1
-            assert c.j == min(c.j, (7 * c.j) % n)
+    n = 48
+    for j, j2 in _of_kind(7, "nonsplit"):
+        assert j % 8 != 0  # not divisible by p+1
+        assert j2 == (7 * j) % n
+        assert j == min(j, j2)
 
 
-def test_field_log_embedding():
-    # the multiplicative group of F_p embeds at index divisible by p+1
+def test_units_embedding():
+    # the multiplicative group of F_p embeds at index divisible by p+1:
+    # the central class diag(x, x) carries the discrete log of x
     for p in (3, 5, 7):
-        n = p * p - 1
-        assert field_log(p, 1) == 0
-        for x in range(1, p):
-            assert field_log(p, x) % (p + 1) == 0
-        logs = {field_log(p, x) for x in range(1, p)}
+        central = _of_kind(p, "central")
+        assert central[0] == (0, 0)  # x = 1
+        logs = {i for i, _ in central}
         assert len(logs) == p - 1
-    with pytest.raises(ValueError):
-        field_log(5, 0)
+        assert all(i % (p + 1) == 0 for i in logs)
+        for i, i2 in _of_kind(p, "split"):
+            assert i in logs and i2 in logs
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +152,8 @@ def test_char_of_trivial_weight():
 
 def test_char_of_determinant_powers():
     p, n = 5, 24
-    for x in range(1, p):
-        c = CentralClass(p, x)
-        i = field_log(p, x)
+    for c in _of_kind(p, "central"):
+        i = c[0]
         for a in range(p - 1):
             got = brauer_char_weight(SerreWeight(p, a, 1), c)
             assert got == zeta_power(n, 2 * i * a)
@@ -145,20 +161,18 @@ def test_char_of_determinant_powers():
 
 def test_char_of_standard_rep():
     p, n = 5, 24
-    for c in p_regular_classes(p):
-        if isinstance(c, SplitClass):
-            got = brauer_char_weight(SerreWeight(p, 0, 2), c)
-            expected = zeta_power(n, field_log(p, c.x)) + zeta_power(n, field_log(p, c.y))
-            assert got == expected
+    for c in _of_kind(p, "split"):
+        got = brauer_char_weight(SerreWeight(p, 0, 2), c)
+        expected = zeta_power(n, c[0]) + zeta_power(n, c[1])
+        assert got == expected
 
 
 def test_char_sym_basics():
     p, n = 5, 24
     for c in p_regular_classes(p):
         assert brauer_char_sym(p, 0, c) == cyclo_one(n)
-    x = 2
-    c = CentralClass(p, x)
-    assert brauer_char_sym(p, 1, c) == 2 * zeta_power(n, field_log(p, x))
+    c = _of_kind(p, "central")[1]  # diag(2, 2)
+    assert brauer_char_sym(p, 1, c) == 2 * zeta_power(n, c[0])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -188,7 +202,7 @@ def test_char_of_twist(p, a, b, t, ci):
     c = classes[ci % len(classes)]
     n = p * p - 1
     w = SerreWeight(p, a, b)
-    i, i2 = class_exponents(c)
+    i, i2 = c
     lhs = brauer_char_weight(w.twist(t), c)
     rhs = zeta_power(n, t * (i + i2)) * brauer_char_weight(w, c)
     assert lhs == rhs
@@ -203,7 +217,7 @@ def test_verify_decomposition_examples(p, N):
     report = verify_decomposition(p, N)
     assert report.passed
     assert report.classes_checked == p * (p - 1)
-    assert report.to_json_obj()["failures"] == []
+    assert report.failures == []
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -223,6 +237,39 @@ def test_fast_path_agrees_with_ring_elements(p):
             assert lhs == rhs, (p, N, c)
 
 
+def _plant_wrong_factor(monkeypatch):
+    """Give the oracle a decomposition with one factor twisted by det."""
+    correct = _decompose.__wrapped__
+
+    def faulty(p, N):
+        factors = dict(correct(p, N))
+        a, b = min(factors)
+        mult = factors.pop((a, b))
+        factors[((a + 1) % (p - 1), b)] = mult
+        return factors
+
+    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(faulty))
+
+
+def test_brauer_failure_names_its_class(monkeypatch, capsys):
+    _plant_wrong_factor(monkeypatch)
+    names = {repr(c) for c in p_regular_classes(5)}
+    failures = [f for N in range(3 * 5 + 1) for f in verify_decomposition(5, N).failures]
+    assert failures
+    assert all(f["class"] in names for f in failures)
+    assert all(any(f["residual"]) for f in failures)
+
+    report = run_suite([3, 5], ["brauer"])
+    assert report["pass"] is False
+    assert all(run["failures"] for run in report["runs"])
+
+    # --jobs 1 keeps the run in this process, where the fault is planted
+    code = cli.main(["verify", "-p", "3", "--checks", "brauer", "--jobs", "1", "--format", "json"])
+    assert code == 1
+    entry = json.loads(capsys.readouterr().out)["runs"][0]["failures"][0]["actual"][0]
+    assert entry["class"] in {repr(c) for c in p_regular_classes(3)}
+
+
 def test_verify_decomposition_rejects_negative():
     with pytest.raises(ValueError):
         verify_decomposition(5, -1)
@@ -235,9 +282,9 @@ def test_verify_decomposition_rejects_negative():
 def test_k_min_search_examples():
     for p in (3, 5, 7):
         for b in range(1, p + 1):
-            assert k_min_search(p, SerreWeight(p, 0, b)) == b + 1
-    assert k_min_search(5, SerreWeight(5, 1, 2)) == 9
-    assert k_min_search(3, SerreWeight(3, 1, 3)) == 8
+            assert k_min_search(SerreWeight(p, 0, b)) == b + 1
+    assert k_min_search(SerreWeight(5, 1, 2)) == 9
+    assert k_min_search(SerreWeight(3, 1, 3)) == 8
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -245,4 +292,4 @@ def test_k_min_search_agrees_with_closed_form(p):
     for a in range(p - 1):
         for b in range(1, p + 1):
             w = SerreWeight(p, a, b)
-            assert k_min_search(p, w) == k_min_closed(w)
+            assert k_min_search(w) == k_min_closed(w)
