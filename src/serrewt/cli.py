@@ -13,8 +13,9 @@ Common flags: --format {table|json|csv}, --out PATH, --jobs N.  Exit codes:
 0 success / all checks pass, 1 a verification check found counterexamples,
 2 usage or schema errors (including p = 2 and I/O problems), 3 breached
 internal invariant.  Environment: SERREWT_JOBS, the default worker count;
---jobs wins over it.  The coverage of each verify check is fixed by p
-(see serrewt.verify), and -p defaults to 3..47.
+--jobs wins over it, and either is capped at os.cpu_count().  The coverage
+of each verify check is fixed by p (see serrewt.verify), and -p defaults
+to 3..47.
 
 Output is deterministic byte-for-byte for fixed inputs except for the "ms"
 timing fields of verification reports.

@@ -2,21 +2,20 @@
 
 Two oracles, deliberately separate from the code they certify:
 
-  * Brauer characters.  On a conjugacy class of order prime to p the
-    character of a mod-p representation of GL2(F_p), with eigenvalues
-    lifted through the Teichmuller map to (p^2-1)-th roots of unity, is a
-    class function that is linearly independent across the p(p-1)
-    irreducibles.  Checking, class by class, that the character of Sym^N
-    equals the character sum of its claimed Jordan-Holder factors therefore
-    certifies the decomposition.  Equality is decided exactly in the ring
-    Z[x]/Phi_n(x) with n = p^2 - 1 (working modulo x^n - 1 instead would
-    produce false negatives, since distinct exponent multisets can agree
-    at a primitive root).  verify_decomposition is the library's only
-    Brauer path: it counts the exponents of char(Sym^N) minus the claimed
-    factors' characters for all classes at once and reduces every row
-    modulo Phi_n with one integer matrix product.  The tests keep a
-    per-class ring-element computation of the same characters as the
-    reference this path must match.
+  * Brauer characters.  At a class of order prime to p, lift the
+    eigenvalues of a mod-p representation of GL2(F_p) through the
+    Teichmuller map to zeta^e, zeta a primitive (p^2-1)-th root of unity.
+    Characteristic polynomials multiply along a composition series and the
+    lift is injective, so a correct decomposition of Sym^N gives, at every
+    p-regular class, the same multiset of exponents e mod p^2 - 1 on both
+    sides.  Conversely, equal multisets give equal Brauer characters, and
+    the irreducible Brauer characters are linearly independent (Serre,
+    Linear Representations of Finite Groups, section 18), so equality at
+    every class certifies the decomposition.  verify_decomposition, the
+    library's only Brauer path, counts the exponents of char(Sym^N) minus
+    the claimed factors' for all classes at once; a class fails iff its
+    count row is nonzero.  The tests keep a per-class reference in
+    Z[x]/Phi_(p^2-1)(x), built on the exact cyclotomic polynomials below.
 
   * Brute-force minimal weight.  k_min_search scans Sym^0, Sym^1, ... for
     the first occurrence of a weight, independent of the closed form.
@@ -25,9 +24,9 @@ Eigenvalue lifting fixes the field with p^2 elements as F_p[t]/(f) where f
 is the lexicographically smallest irreducible monic quadratic (ordered by
 (linear coefficient, constant)), encodes the element c0 + c1*t as the
 integer c0 + p*c1, picks the generator g with the smallest encoding, and
-maps g to the residue x in Z[x]/Phi_n.  Discrete logarithms are read from
-a table of the powers of g, so the oracles are intended for desk-scale
-primes (p <= MAX_ORACLE_P = 31; the ring degree is phi(p^2 - 1)).
+maps g to zeta.  Discrete logarithms are read from a table of the powers
+of g, so the oracles are intended for desk-scale primes
+(p <= MAX_ORACLE_P = 31; each class row holds p^2 - 1 counts).
 
 A Brauer character at a p-regular class depends only on the exponents
 (i, i') of the class's lifted eigenvalues g^i, g^i', so a class is that
@@ -222,50 +221,23 @@ class DecompositionReport:
         return not self.failures
 
 
-@lru_cache(maxsize=None)
-def _reduction_table(n: int) -> Tuple[np.ndarray, int]:
-    """x^j mod Phi_n for all j < n, as an (n, phi(n)) int64 matrix.
-
-    Rows are built with exact Python integers before the int64 cast; the
-    returned maximum absolute entry lets callers bound matvec results and
-    guarantee the int64 path cannot overflow.
-    """
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    rows: List[List[int]] = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(list(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for idx in range(deg):
-                cur[idx] -= top * phi[idx]
-    tmax = max(abs(v) for row in rows for v in row)
-    if not tmax < 2**32:
-        raise InternalInvariantError(f"reduction table entry {tmax} at n={n} too large")
-    return np.array(rows, dtype=np.int64), tmax
-
-
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
-    """Certify decompose_sym(p, N): for every p-regular class, the Brauer
-    character of Sym^N must equal the multiplicity-weighted character sum
-    of the claimed factors, exactly, in Z[x]/Phi_(p^2-1).
-
-    Any failure is an implementation bug; linear independence of the
-    irreducible Brauer characters makes this equivalent to equality in the
-    Grothendieck group.
+    """Certify decompose_sym(p, N): at every p-regular class the lifted
+    eigenvalue exponents of Sym^N, built from the class alone and never
+    from _decompose, must equal the multiplicity-weighted union of the
+    claimed factors' exponents as multisets.  A failure entry carries the
+    class's p^2 - 1 exponent counts of char(Sym^N) minus the factors'.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     classes = p_regular_classes(p)
     n = p * p - 1
-    table, tmax = _reduction_table(n)
     exps = np.array(classes, dtype=np.int64)
     i, i2 = exps[:, :1], exps[:, 1:]  # column vectors of the two exponents
     rows = np.arange(len(classes))[:, None]
 
+    # int64 is ample: every entry is bounded by 2(N+1), N+1 terms from Sym^N
+    # and, by _decompose's dimension invariant, N+1 from the claimed factors
     counts = np.zeros((len(classes), n), dtype=np.int64)
     t = np.arange(N + 1, dtype=np.int64)[None, :]
     np.add.at(counts, (rows, (i * t + i2 * (N - t)) % n), 1)
@@ -274,13 +246,9 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
         cells = (a * (i + i2) + i * tb + i2 * (b - 1 - tb)) % n
         np.add.at(counts, (rows, cells), -mult)
 
-    # total absolute mass per row is at most 2(N+1); rules out int64 overflow
-    if not 2 * (N + 1) * tmax < 2**62:
-        raise InternalInvariantError(f"int64 residual could overflow at p={p}, N={N}")
-    residual = counts @ table
     failures = [
-        {"class": repr(classes[k]), "residual": [int(v) for v in residual[k]]}
-        for k in map(int, np.nonzero(np.any(residual != 0, axis=1))[0])
+        {"class": repr(classes[k]), "residual": [int(v) for v in counts[k]]}
+        for k in map(int, np.nonzero(np.any(counts != 0, axis=1))[0])
     ]
     return DecompositionReport(p, N, len(classes), failures)
 

@@ -12,11 +12,11 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
 
 The coverage of every check is a fixed function of p.
 
-run_suite is the only runner.  It builds each (prime, check) item list once
-and cuts it into (check, p, items) slices; a check with at least 2 * jobs
-items gets up to `jobs` slices, a smaller one stays whole.  At jobs = 1 the
-slices run in-process, in order; at jobs > 1 all slices of the call go
-through one process pool.  Failures are put back in item order for each
+run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
+each (prime, check) item list once and cuts it into (check, p, items)
+slices; a check with at least 2 * jobs items gets up to `jobs` slices, a
+smaller one stays whole.  At jobs = 1 the slices run in-process, in order;
+at jobs > 1 all slices of the call go through one process pool.  Failures are put back in item order for each
 run, so the aggregate JSON (timing fields aside) is a pure function of
 (primes, checks), whatever the worker count.  A run's "ms" is the sum of
 its slices' evaluation times.  At jobs = 1 that is the run's own time; at
@@ -28,6 +28,7 @@ documents the complete mismatch pattern.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,8 +164,9 @@ def run_suite(
     `checks` is "all" (the four standard checks), one name, or a list of
     names from main/bm/kmin/recursion/brauer; "all" is not a name, so a
     list containing it is rejected.  "brauer" must be requested
-    explicitly and its primes must not exceed MAX_ORACLE_P.  Raises
-    ValueError when no primes or no checks are given.  Returns the aggregate
+    explicitly and its primes must not exceed MAX_ORACLE_P.  `jobs` above
+    os.cpu_count() runs as the core count.  Raises ValueError when no
+    primes or no checks are given.  Returns the aggregate
     {"runs": [...], "pass": bool}; apart from the per-run "ms" field the
     aggregate depends only on (primes, checks).
     """
@@ -186,6 +188,7 @@ def run_suite(
             raise ValueError(f"brauer check capped at p <= {MAX_ORACLE_P}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once
     runs: List[Dict[str, object]] = []
     tasks: List[Slice] = []
     owner: List[int] = []  # index into runs of each task
@@ -202,7 +205,7 @@ def run_suite(
     if jobs == 1:
         results = map(_eval_slice, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks)))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_eval_slice, tasks))
     seconds = [0.0] * len(runs)
     for idx, (failures, elapsed) in zip(owner, results):

@@ -1,9 +1,11 @@
 """Per-class Brauer characters in Z[x]/Phi_n(x), n = p^2 - 1: the reference
 that oracle.verify_decomposition must agree with.
 
-The library certifies a decomposition with one vectorized residual product
-over all p-regular classes.  This module computes the same characters one
-class at a time with exact ring elements, so tests can compare the two.
+The library compares, for all p-regular classes at once, the multisets of
+lifted eigenvalue exponents of Sym^N and of its claimed factors.  This
+module computes the characters themselves one class at a time, as exact
+elements of Z[x]/Phi_n(x), so tests can compare the two: a class whose
+character differs must have differing multisets.
 """
 
 from __future__ import annotations

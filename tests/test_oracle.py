@@ -212,7 +212,7 @@ def test_char_of_twist(p, a, b, t, ci):
 # verify_decomposition
 
 
-@pytest.mark.parametrize("p,N", [(5, 5), (3, 4), (7, 4)])
+@pytest.mark.parametrize("p,N", [(5, 5), (3, 4), (7, 4), (31, 3 * 31**2)])
 def test_verify_decomposition_examples(p, N):
     report = verify_decomposition(p, N)
     assert report.passed
@@ -238,14 +238,16 @@ def test_fast_path_agrees_with_ring_elements(p):
 
 
 def _plant_wrong_factor(monkeypatch):
-    """Give the oracle a decomposition with one factor twisted by det."""
+    """Give the oracle a decomposition with one factor twisted by det; the
+    claimed dimensions still add up to N + 1."""
     correct = _decompose.__wrapped__
 
     def faulty(p, N):
         factors = dict(correct(p, N))
         a, b = min(factors)
         mult = factors.pop((a, b))
-        factors[((a + 1) % (p - 1), b)] = mult
+        twisted = ((a + 1) % (p - 1), b)
+        factors[twisted] = factors.get(twisted, 0) + mult
         return factors
 
     monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(faulty))
@@ -268,6 +270,40 @@ def test_brauer_failure_names_its_class(monkeypatch, capsys):
     assert code == 1
     entry = json.loads(capsys.readouterr().out)["runs"][0]["failures"][0]["actual"][0]
     assert entry["class"] in {repr(c) for c in p_regular_classes(3)}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_brauer_failures_match_ring_reference(monkeypatch, p):
+    # a class fails iff its exponent multisets differ, which a differing
+    # Brauer character implies: the library flags every class the ring
+    # reference flags
+    _plant_wrong_factor(monkeypatch)
+    n = p * p - 1
+    for N in range(3 * p + 1):
+        factors = oracle._decompose(p, N)
+        flagged = set()
+        for c in p_regular_classes(p):
+            rhs = cyclo_zero(n)
+            for (a, b), mult in factors.items():
+                rhs = rhs + mult * brauer_char_weight(SerreWeight(p, a, b), c)
+            if brauer_char_sym(p, N, c) != rhs:
+                flagged.add(repr(c))
+        assert flagged, (p, N)  # a twisted factor is wrong at every N
+        report = verify_decomposition(p, N)
+        assert flagged <= {f["class"] for f in report.failures}, (p, N)
+        for f in report.failures:
+            assert len(f["residual"]) == n
+            assert sum(f["residual"]) == 0  # the fault keeps dimensions
+
+
+def test_brauer_sym_side_ignores_decompose(monkeypatch):
+    # the Sym^N side comes from class exponents alone: with no claimed
+    # factors, every class must fail
+    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(lambda p, N: {}))
+    classes = {repr(c) for c in p_regular_classes(5)}
+    for N in range(16):
+        report = verify_decomposition(5, N)
+        assert {f["class"] for f in report.failures} == classes, N
 
 
 def test_verify_decomposition_rejects_negative():

@@ -137,6 +137,7 @@ class _CountingPool(verify.ProcessPoolExecutor):
 
 
 def test_run_suite_opens_one_pool_per_call(monkeypatch):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool even on one core
     monkeypatch.setattr(verify, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "opened", 0)
     serial = run_suite([3, 5], "all", jobs=1)
@@ -144,6 +145,34 @@ def test_run_suite_opens_one_pool_per_call(monkeypatch):
     parallel = run_suite([3, 5], "all", jobs=2)
     assert _CountingPool.opened == 1
     assert _strip_ms(serial) == _strip_ms(parallel)
+
+
+class _InProcessPool:
+    """Records the requested worker count and maps in this process, so no
+    process starts."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        type(self).max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_suite_caps_jobs_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    many = run_suite([5], "all", jobs=64)
+    assert _InProcessPool.max_workers == [2]
+    assert _strip_ms(many) == _strip_ms(run_suite([5], "all", jobs=1))
 
 
 def test_run_suite_builds_each_item_list_once(monkeypatch):
