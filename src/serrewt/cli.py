@@ -29,6 +29,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from .errors import InternalInvariantError, LevelOneError, ParamError, UnsupportedPrimeError
@@ -66,6 +67,7 @@ def _env_int(name: str, fallback: int) -> int:
         raise _UsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")

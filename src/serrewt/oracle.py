@@ -16,6 +16,12 @@ Two oracles, deliberately separate from the code they certify:
     the claimed factors' for all classes at once; a class fails iff its
     count row is nonzero.  The tests keep a per-class reference in
     Z[x]/Phi_(p^2-1)(x), built on the exact cyclotomic polynomials below.
+    One clean run over N < 2(p^2-1) certifies every N >= 0.  Fix r and put
+    N = r + k(p^2-1): each unit of k adds one full period of p-1 steps to
+    _decompose's fold, so the claimed factors are affine in k, and so are
+    the Sym^N counts ((N+1) at one exponent on a central class, one fixed
+    row more per unit of k elsewhere).  The residual is then affine in k
+    and vanishes at k = 0 and 1, hence at every k.
 
   * Brute-force minimal weight.  k_min_search scans Sym^0, Sym^1, ... for
     the first occurrence of a weight, independent of the closed form.

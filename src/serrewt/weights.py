@@ -11,7 +11,8 @@ the "Serre weights".  This module implements:
     Grothendieck group of finite-dimensional representations, i.e. integer
     combinations of the V(a, b));
   * decompose_sym: the Jordan-Holder factors of Sym^N with multiplicity,
-    as a VirtualClass, for every N >= 0;
+    as a VirtualClass, for every N >= 0, in O(p) steps whatever N: the
+    peeling recursion repeats with period p-1 and is folded by it;
   * sym_class: the class [Sym^N] for every integer N, using the
     conventions [Sym^(-1)] = 0 and, for N < -1,
     [Sym^N] = -[det^(N+1) (x) Sym^(-N-2)], which extend the periodic
@@ -176,27 +177,28 @@ class VirtualClass:
 
 @lru_cache(maxsize=None)
 def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
-    """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}; callers
-    must not mutate."""
+    """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}, in O(p)
+    steps for every N; callers must not mutate."""
     _require_odd_prime(p)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    # One step of the recursion peels [S_n] + [det^n (x) S_(p-n-1)] off
-    # Sym^M and continues with det (x) Sym^(M-p-1); iterating instead of
-    # recursing keeps arbitrarily large N safe from recursion limits.
+    # Step t peels det^t (x) ([S_n] + [det^n (x) S_(p-n-1)]) off
+    # det^t (x) Sym^M, M = N - t(p+1) >= p, n = ((M-1) mod p-1) + 1, and
+    # leaves det^(t+1) (x) Sym^(M-p-1).  Both keys depend on t mod p-1 alone
+    # (M = N - 2t mod p-1), so the S = (N+1)//(p+1) steps are one pass over
+    # t < min(S, p-1), each step counted once per period it falls in.
     # Only additions occur, so the result is effective by construction.
     factors: Dict[Tuple[int, int], int] = {}
-    t = 0
-    M = N
     q = p - 1
-    while M >= p:
-        n = ((M - 1) % q) + 1
-        for key in ((t % q, n + 1), ((n + t) % q, p - n)):
-            factors[key] = factors.get(key, 0) + 1
-        t += 1
-        M -= p + 1
+    S = (N + 1) // (p + 1)
+    reps, extra = divmod(S, q)
+    for t in range(min(S, q)):
+        n = ((N - t * (p + 1) - 1) % q) + 1
+        for key in ((t, n + 1), ((n + t) % q, p - n)):
+            factors[key] = factors.get(key, 0) + reps + (t < extra)
+    M = N - S * (p + 1)
     if M >= 0:
-        key = (t % q, M + 1)
+        key = (S % q, M + 1)
         factors[key] = factors.get(key, 0) + 1
     if sum(c * b for (_, b), c in factors.items()) != N + 1:
         raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")

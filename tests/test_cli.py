@@ -1,5 +1,6 @@
 """Tests for the command-line frontend, driven in-process via main()."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import pytest
 
 from serrewt import cli
 from serrewt.cli import main
+from serrewt.galois_params import SHAPE_SPLIT, enumerate_params, serialize_param
 
 TRES5 = '{"p":5,"type":"reducible","twist":0,"ratio":1,"shape":"tres","lambda_equal":true}'
 EX23 = '{"p":5,"type":"reducible","twist":0,"ratio":1,"shape":"split","lambda_equal":false}'
@@ -65,6 +67,18 @@ def test_decompose_usage_errors(capsys):
     assert run(capsys, "decompose", "-p", "4", "-N", "1")[0] == 2
     assert run(capsys, "decompose", "-p", "5", "-N", "-1")[0] == 2
     assert run(capsys, "decompose", "-p", "5")[0] == 2  # missing -N
+
+
+def test_decompose_huge_n(capsys):
+    # N = 10**30 = k(p^2 - 1) at p = 3 with k = 1.25e29: k copies of one
+    # period of peeling steps plus the factor V(0,1) of Sym^0
+    k = 125 * 10**27
+    code, out, err = run(capsys, "decompose", "-p", "3", "-N", str(10**30), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [
+        {"a": 0, "b": 1, "mult": k + 1}, {"a": 0, "b": 3, "mult": k},
+        {"a": 1, "b": 1, "mult": k}, {"a": 1, "b": 3, "mult": k},
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +147,57 @@ def test_weights_round_trip_param(capsys):
     code, out, _ = run(capsys, "weights", TRES5, "--format", "json")
     obj = json.loads(out)
     assert json.dumps(obj["param"]) == json.dumps(json.loads(TRES5))
+
+
+# The tail of `weights --format json`, byte for byte, for every split
+# parameter at p in {3, 5, 7} whose mu support has n = p-2, i.e. ratio 0,
+# keyed by (p, twist, lambda_equal).  No check reads the size of a positive
+# mu, so this regression pin is what sees the 4 / 2 multiplicities there.
+SPLIT_MU_AT_P_MINUS_2 = {
+    (3, 0, True): '"mu_nonzero": [{"n": 1, "m": 0, "mu": 4}]}\n',
+    (3, 0, False): '"mu_nonzero": [{"n": 1, "m": 0, "mu": 2}]}\n',
+    (3, 1, True): '"mu_nonzero": [{"n": 1, "m": 1, "mu": 4}]}\n',
+    (3, 1, False): '"mu_nonzero": [{"n": 1, "m": 1, "mu": 2}]}\n',
+    (5, 0, True): '"mu_nonzero": [{"n": 3, "m": 0, "mu": 4}]}\n',
+    (5, 0, False): '"mu_nonzero": [{"n": 3, "m": 0, "mu": 2}]}\n',
+    (5, 1, True): '"mu_nonzero": [{"n": 3, "m": 1, "mu": 4}]}\n',
+    (5, 1, False): '"mu_nonzero": [{"n": 3, "m": 1, "mu": 2}]}\n',
+    (5, 2, True): '"mu_nonzero": [{"n": 3, "m": 2, "mu": 4}]}\n',
+    (5, 2, False): '"mu_nonzero": [{"n": 3, "m": 2, "mu": 2}]}\n',
+    (5, 3, True): '"mu_nonzero": [{"n": 3, "m": 3, "mu": 4}]}\n',
+    (5, 3, False): '"mu_nonzero": [{"n": 3, "m": 3, "mu": 2}]}\n',
+    (7, 0, True): '"mu_nonzero": [{"n": 5, "m": 0, "mu": 4}]}\n',
+    (7, 0, False): '"mu_nonzero": [{"n": 5, "m": 0, "mu": 2}]}\n',
+    (7, 1, True): '"mu_nonzero": [{"n": 5, "m": 1, "mu": 4}]}\n',
+    (7, 1, False): '"mu_nonzero": [{"n": 5, "m": 1, "mu": 2}]}\n',
+    (7, 2, True): '"mu_nonzero": [{"n": 5, "m": 2, "mu": 4}]}\n',
+    (7, 2, False): '"mu_nonzero": [{"n": 5, "m": 2, "mu": 2}]}\n',
+    (7, 3, True): '"mu_nonzero": [{"n": 5, "m": 3, "mu": 4}]}\n',
+    (7, 3, False): '"mu_nonzero": [{"n": 5, "m": 3, "mu": 2}]}\n',
+    (7, 4, True): '"mu_nonzero": [{"n": 5, "m": 4, "mu": 4}]}\n',
+    (7, 4, False): '"mu_nonzero": [{"n": 5, "m": 4, "mu": 2}]}\n',
+    (7, 5, True): '"mu_nonzero": [{"n": 5, "m": 5, "mu": 4}]}\n',
+    (7, 5, False): '"mu_nonzero": [{"n": 5, "m": 5, "mu": 2}]}\n',
+}
+
+
+def split_mu_tails():
+    """(p, twist, lambda_equal) -> the mu_nonzero tail of `weights --format
+    json`, for every split parameter at p in {3, 5, 7} with ratio 0."""
+    tails = {}
+    for p in (3, 5, 7):
+        for param in enumerate_params(p):
+            if getattr(param, "shape", None) == SHAPE_SPLIT and param.ratio == 0:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["weights", serialize_param(param), "--format", "json"]) == 0
+                text = out.getvalue()
+                tails[(p, param.twist, param.lambda_equal)] = text[text.index('"mu_nonzero": '):]
+    return tails
+
+
+def test_weights_json_pins_split_mu_at_n_p_minus_2():
+    assert split_mu_tails() == SPLIT_MU_AT_P_MINUS_2
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +326,24 @@ def test_output_deterministic(capsys):
     a = run(capsys, "table", "-p", "5", "--format", "csv")
     b = run(capsys, "table", "-p", "5", "--format", "csv")
     assert a == b
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # main builds its parser once; calls in sequence must give what each
+    # gives alone, on a freshly built parser
+    calls = [
+        ("kmin", "-p", "5", "-a", "1", "-b", "2", "--search"),
+        ("kmin", "-p", "5", "-a", "1", "-b", "2"),
+        ("kmin", "-p", "5", "-a", "1", "--bogus"),
+        ("decompose", "-p", "5", "-N", "30", "--format", "csv"),
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    in_sequence = [run(capsys, *argv) for argv in calls]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ library's behaviour with one rule changed; the checks that catch it:
   * normalize_level2: the exponent reduced modulo p^2 - 2, not p^2 - 1
     (bm).
 
-Kill rate: 7 of 8 planted faults are caught.  The survivor is a
-documented blind spot and is not asserted: changing the split
-multiplicity `4 if lam else 2` in kisin_mu (n = p-2) to 2 passes every
-check.  Only whether mu > 0 enters bm_set, and k_cris is the least k whose
-weighted Jordan-Holder sum is positive, so no check reads the size of a
-positive mu.  Catching it needs a check of the Breuil-Mezard
-multiplicities themselves.
+Kill rate: 7 of 8 planted faults are caught by the checks.  The eighth,
+the split multiplicity `4 if lam else 2` in kisin_mu (n = p-2) changed to
+2, passes every check: only whether mu > 0 enters bm_set, and k_cris is
+the least k whose weighted Jordan-Holder sum is positive, so no check reads
+the size of a positive mu.  It is caught instead by the bytes pin of
+`mu_nonzero` in `weights --format json` (tests/test_cli.py, every split
+parameter with n = p-2 in its support at p in {3, 5, 7}); the last test
+below asserts that.  The pin is a regression pin, not a proof: it records
+today's values and would record a wrong value just as faithfully.  Proving
+the multiplicities needs a check of them against a second source.
 """
 
 import sys
@@ -34,6 +37,8 @@ import pytest
 from serrewt import galois_params, recipes, weights
 from serrewt.galois_params import SHAPE_PEU, SHAPE_SPLIT, SHAPE_TRES
 from serrewt.verify import CHECKS, run_suite
+
+from test_cli import SPLIT_MU_AT_P_MINUS_2, split_mu_tails
 
 PRIMES = [3, 5, 7]
 
@@ -118,6 +123,15 @@ def _decompose_one_factor_twisted(p, N):
     return factors
 
 
+def _kisin_mu_split_mult_2(orig):
+    def fault(param, n, m):
+        mu = orig(param, n, m)
+        if getattr(param, "shape", None) == SHAPE_SPLIT and n == param.p - 2 and mu:
+            return 2  # fault: was 4 if lam else 2
+        return mu
+    return fault
+
+
 def _normalize_level2_off_by_one(orig):
     def fault(p, e):
         return orig(p, e % (p * p - 2))  # fault: reduced modulo p^2 - 2, not p^2 - 1
@@ -172,3 +186,9 @@ def test_mutant_is_killed(name, monkeypatch):
     install(monkeypatch)
     caught = _failing_checks()
     assert expected <= caught, f"{name}: caught by {sorted(caught)}, expected {sorted(expected)}"
+
+
+def test_split_mu_fault_breaks_the_pin(monkeypatch):
+    monkeypatch.setattr(recipes, "kisin_mu", _kisin_mu_split_mult_2(recipes.kisin_mu))
+    changed = {key for key, tail in split_mu_tails().items() if tail != SPLIT_MU_AT_P_MINUS_2[key]}
+    assert changed == {key for key in SPLIT_MU_AT_P_MINUS_2 if key[2]}  # every lambda_equal one

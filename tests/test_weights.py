@@ -1,5 +1,7 @@
 """Tests for Serre weights, symmetric-power decomposition and k_min."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 from serrewt.weights import (
     SerreWeight,
     VirtualClass,
+    _decompose,
     decompose_sym,
     k_min_closed,
     sym_class,
 )
+
+from peeling_reference import decompose_affine, decompose_loop
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -148,9 +153,42 @@ def test_dimension_conservation_property(p, N):
 
 
 def test_decompose_handles_huge_n():
-    # iterative, so no recursion-depth limit
-    factors = decompose_sym(3, 10**5)
-    assert sum(m * w.b for w, m in factors.items()) == 10**5 + 1
+    # O(p) steps whatever N, so 10**30 is as quick as 10**3; the affine
+    # form of the reference loop gives the expected factors
+    N = 10**30
+    factors = decompose_sym(3, N)
+    assert sum(m * w.b for w, m in factors.items()) == N + 1
+    assert _decompose.__wrapped__(3, N) == decompose_affine(3, N)
+
+
+# ---------------------------------------------------------------------------
+# the period-(p-1) fold against the full peeling loop
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 47])
+def test_decompose_matches_loop_below_3P(p):
+    for N in range(3 * (p * p - 1)):
+        assert _decompose.__wrapped__(p, N) == decompose_loop(p, N), (p, N)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_decompose_matches_loop_seeded(p):
+    rng = random.Random(7 * p)
+    for N in [10**5] + [rng.randrange(10**5) for _ in range(40)]:
+        assert _decompose.__wrapped__(p, N) == decompose_loop(p, N), (p, N)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_decompose_period_identity(p):
+    # D(N + P) - D(N) is one full period of p-1 peeling steps: effective,
+    # and a function of N mod p-1 alone
+    P = p * p - 1
+    seen = {}
+    for N in range(3 * P):
+        lo, hi = _decompose.__wrapped__(p, N), _decompose.__wrapped__(p, N + P)
+        step = {key: hi.get(key, 0) - lo.get(key, 0) for key in set(lo) | set(hi)}
+        assert min(step.values()) >= 0, (p, N)
+        assert seen.setdefault(N % (p - 1), step) == step, (p, N)
 
 
 # ---------------------------------------------------------------------------
