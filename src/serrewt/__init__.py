@@ -20,7 +20,6 @@ from .galois_params import (
     serialize_param,
 )
 from .oracle import (
-    cyclotomic_poly,
     k_min_search,
     p_regular_classes,
     verify_decomposition,
@@ -60,7 +59,6 @@ __all__ = [
     "bdj_weight_set",
     "bm_multiplicity",
     "bm_set",
-    "cyclotomic_poly",
     "decompose_sym",
     "enumerate_params",
     "k_cris",

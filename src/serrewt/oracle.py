@@ -26,18 +26,22 @@ Two oracles, deliberately separate from the code they certify:
   * Brute-force minimal weight.  k_min_search scans Sym^0, Sym^1, ... for
     the first occurrence of a weight, independent of the closed form.
 
-Eigenvalue lifting fixes the field with p^2 elements as F_p[t]/(f) where f
-is the lexicographically smallest irreducible monic quadratic (ordered by
-(linear coefficient, constant)), encodes the element c0 + c1*t as the
-integer c0 + p*c1, picks the generator g with the smallest encoding, and
-maps g to zeta.  Discrete logarithms are read from a table of the powers
-of g, so the oracles are intended for desk-scale primes
-(p <= MAX_ORACLE_P = 31; each class row holds p^2 - 1 counts).
-
 A Brauer character at a p-regular class depends only on the exponents
-(i, i') of the class's lifted eigenvalues g^i, g^i', so a class is that
+(i, i') of the class's lifted eigenvalues zeta^i, zeta^i', so a class is that
 pair of ints: p_regular_classes(p) returns them, and a failure entry names
 its class as repr((i, i')).
+
+The exponents depend on the choice of zeta only up to a unit.  Replacing
+zeta by zeta^s with gcd(s, p^2 - 1) = 1 multiplies every exponent pair by
+s, which permutes the unordered pairs of p_regular_classes(p): F_p^* is
+always the subgroup of (p+1)-th powers, and the non-split pairs (j, pj)
+are the orbits of Frobenius.  Sym^N and the Serre weights give exponent
+multisets symmetric in (i, i'), so the certificate is a statement over a
+set that does not depend on the generator, and no model of the field with
+p^2 elements is needed.  The oracles are intended for desk-scale primes
+(p <= MAX_ORACLE_P = 31): verify_decomposition fills a p(p-1) x (p^2-1)
+int64 count matrix from p(p-1) x (N+1) index arrays, a build whose peak
+RSS at N = 3p^2 reaches 258 MB at p = 47.
 """
 
 from __future__ import annotations
@@ -115,72 +119,6 @@ def _phi_degree(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the field with p^2 elements, its generator, and discrete logs
-
-
-def _smallest_irreducible_quadratic(p: int) -> Tuple[int, int]:
-    """(c, d) with t^2 + c t + d irreducible over F_p, smallest (c, d)."""
-    for c in range(p):
-        for d in range(p):
-            if all((x * x + c * x + d) % p for x in range(p)):
-                return c, d
-    raise InternalInvariantError(f"no irreducible quadratic over F_{p}")
-
-
-def _prime_factors(n: int) -> List[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(p: int) -> Dict[int, int]:
-    """encoding(c0 + c1 t) = c0 + p c1  ->  discrete log base the generator."""
-    c, d = _smallest_irreducible_quadratic(p)
-    n = p * p - 1
-
-    def mul(u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
-        u0, u1 = u
-        v0, v1 = v
-        cross = u1 * v1
-        return ((u0 * v0 - d * cross) % p, (u0 * v1 + u1 * v0 - c * cross) % p)
-
-    def power(u: Tuple[int, int], e: int) -> Tuple[int, int]:
-        acc = (1, 0)
-        while e:
-            if e & 1:
-                acc = mul(acc, u)
-            u = mul(u, u)
-            e >>= 1
-        return acc
-
-    factors = _prime_factors(n)
-    gen = None
-    for enc in range(1, p * p):
-        cand = (enc % p, enc // p)
-        if all(power(cand, n // q) != (1, 0) for q in factors):
-            gen = cand
-            break
-    if gen is None:
-        raise InternalInvariantError(f"no generator of the field with {p}^2 elements")
-    table: Dict[int, int] = {}
-    elt = (1, 0)
-    for k in range(n):
-        table[elt[0] + p * elt[1]] = k
-        elt = mul(elt, gen)
-    if len(table) != n:
-        raise InternalInvariantError(f"generator powers at p={p} repeat before {n}")
-    return table
-
-
-# ---------------------------------------------------------------------------
 # p-regular classes as eigenvalue-exponent pairs
 
 
@@ -189,19 +127,18 @@ def p_regular_classes(p: int) -> Tuple[Tuple[int, int], ...]:
     """Conjugacy classes of p-regular elements of GL2(F_p), each as the
     exponents (i, i') of its Teichmuller-lifted eigenvalues zeta^i, zeta^i'.
 
-    Order: the p-1 central classes diag(x, x) for x = 1..p-1 (i = i'),
-    then the (p-1)(p-2)/2 split classes diag(x, y) with units x < y (both
-    exponents divisible by p+1), then the p(p-1)/2 non-split classes
-    (j, pj mod p^2-1) with j the smaller of its orbit and not divisible by
-    p+1.  The total p(p-1) is the number of irreducible Brauer characters.
+    Order: the p-1 central classes ((p+1)k, (p+1)k) for k = 0..p-2, then
+    the (p-1)(p-2)/2 split classes (i, i') with i < i', both multiples of
+    p+1, then the p(p-1)/2 non-split classes (j, pj mod p^2-1) with j the
+    smaller of its orbit and not divisible by p+1.  The total p(p-1) is
+    the number of irreducible Brauer characters.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    log = _dlog_table(p)
-    units = [log[x] for x in range(1, p)]  # F_p^* sits at encodings 1..p-1
-    out = [(i, i) for i in units]
-    out.extend((units[x], units[y]) for x in range(p - 1) for y in range(x + 1, p - 1))
     n = p * p - 1
+    units = range(0, n, p + 1)  # F_p^*: the (p+1)-th powers of zeta
+    out = [(i, i) for i in units]
+    out.extend((i, i2) for i in units for i2 in units if i < i2)
     reps = {min(j, (p * j) % n) for j in range(1, n) if j % (p + 1)}
     out.extend((j, (p * j) % n) for j in sorted(reps))
     if len(out) != p * (p - 1):

@@ -2,6 +2,7 @@
 
 import json
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,20 @@ def test_class_counts():
         assert kinds.count("nonsplit") == p * (p - 1) // 2
         assert len(classes) == p * (p - 1)
         assert len(set(classes)) == len(classes)
+        # distinct as unordered pairs, and the set of unordered pairs is
+        # independent of the generator: replacing zeta by zeta^s, s a unit
+        # mod p^2 - 1, multiplies every exponent by s and permutes the set
+        n = p * p - 1
+        pairs = {tuple(sorted(c)) for c in classes}
+        assert len(pairs) == len(classes)
+        for s in range(1, n):
+            if gcd(s, n) == 1:
+                assert {tuple(sorted((s * i % n, s * i2 % n))) for i, i2 in classes} == pairs, (p, s)
+    # central ((p+1)k, (p+1)k) in k order, then split with i < i'
+    assert p_regular_classes(5)[:10] == (
+        (0, 0), (6, 6), (12, 12), (18, 18),
+        (0, 6), (0, 12), (0, 18), (6, 12), (6, 18), (12, 18),
+    )
 
 
 def test_nonsplit_class_representatives():
@@ -129,8 +144,8 @@ def test_nonsplit_class_representatives():
 
 
 def test_units_embedding():
-    # the multiplicative group of F_p embeds at index divisible by p+1:
-    # the central class diag(x, x) carries the discrete log of x
+    # the multiplicative group of F_p lifts to the (p+1)-th powers of zeta:
+    # the central classes are ((p+1)k, (p+1)k) for k = 0..p-2
     for p in (3, 5, 7):
         central = _of_kind(p, "central")
         assert central[0] == (0, 0)  # x = 1
@@ -171,7 +186,7 @@ def test_char_sym_basics():
     p, n = 5, 24
     for c in p_regular_classes(p):
         assert brauer_char_sym(p, 0, c) == cyclo_one(n)
-    c = _of_kind(p, "central")[1]  # diag(2, 2)
+    c = _of_kind(p, "central")[1]  # (p+1, p+1)
     assert brauer_char_sym(p, 1, c) == 2 * zeta_power(n, c[0])
 
 
