@@ -38,18 +38,51 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, UnsupportedPrimeError
+
+# Miller-Rabin with the prime bases 2..41 is exact below _MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017), which is itself a strong
+# pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_odd_prime(n: int) -> bool:
-    """True iff n is a prime other than 2."""
+    """True iff n is a prime other than 2.
+
+    Trial division below 2^18, where it is the faster test, deterministic
+    Miller-Rabin up to _MR_BOUND; a larger n raises UnsupportedPrimeError
+    rather than get an unproven answer.
+    """
     if n < 3 or n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n < 1 << 18:
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    if n >= _MR_BOUND:
+        raise UnsupportedPrimeError(f"primality is not decided at or above {_MR_BOUND}, got {n}")
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """True iff odd n > 41 is a strong probable prime to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrewt.errors import UnsupportedPrimeError
 from serrewt.weights import (
+    _MR_BOUND,
     SerreWeight,
     VirtualClass,
     _decompose,
+    _miller_rabin,
     decompose_sym,
+    is_odd_prime,
     k_min_closed,
     sym_class,
 )
@@ -34,6 +38,41 @@ def W(p, a, b):
 )
 def test_weight_dim(p, a, b, dim):
     assert W(p, a, b).b == dim
+
+
+def test_is_odd_prime_matches_a_sieve_below_2e5():
+    # both paths: trial division below 2^18, and Miller-Rabin on its own
+    # for every odd n > 41 (the strong pseudoprimes to base 2 among them)
+    top = 2 * 10**5
+    sieve = [True] * top
+    sieve[0] = sieve[1] = False
+    for d in range(2, int(top**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, top, d))
+    for n in range(-3, top):
+        expected = n > 2 and sieve[n]
+        assert is_odd_prime(n) == expected, n
+        if n > 41 and n % 2:
+            assert _miller_rabin(n) == expected, n
+
+
+@pytest.mark.parametrize("n, expected", [
+    (100000000000000000039, True),
+    (2**61 - 1, True),
+    (2**89 - 1, None),                       # above the bound
+    (3215031751, False),                     # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),            # ... to bases 2..31
+    (318665857834031151167461, False),       # ... to bases 2..37
+    (_MR_BOUND, None),                       # ... to bases 2..41
+    (_MR_BOUND + 2, None),
+    (10**30, False),                         # even: no primality test needed
+])
+def test_is_odd_prime_large(n, expected):
+    if expected is None:
+        with pytest.raises(UnsupportedPrimeError):
+            is_odd_prime(n)
+    else:
+        assert is_odd_prime(n) is expected
 
 
 def test_weight_validation():
