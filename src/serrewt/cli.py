@@ -12,10 +12,13 @@ Subcommands:
 Common flags: --format {table|json|csv}, --out PATH, --jobs N.  Exit codes:
 0 success / all checks pass, 1 a verification check found counterexamples,
 2 usage or schema errors (including p = 2 and I/O problems), 3 breached
-internal invariant.  Environment: SERREWT_JOBS, the default worker count;
---jobs wins over it, and either is capped at os.cpu_count().  The coverage
-of each verify check is fixed by p (see serrewt.verify), and -p defaults
-to 3..47.
+internal invariant.  The library is the only validator: a ValueError from
+any library call (ParamError, LevelOneError and UnsupportedPrimeError
+among them) or an OSError is a usage error and exits 2, and an
+InternalInvariantError exits 3.  Environment: SERREWT_JOBS, the default
+worker count; --jobs wins over it, and either is capped at os.cpu_count().
+The coverage of each verify check is fixed by p (see serrewt.verify), and
+-p defaults to 3..47.
 
 Output is deterministic byte-for-byte for fixed inputs except for the "ms"
 timing fields of verification reports.
@@ -32,7 +35,7 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from .errors import InternalInvariantError, LevelOneError, ParamError, UnsupportedPrimeError
+from .errors import InternalInvariantError, UnsupportedPrimeError
 from .galois_params import enumerate_params, parse_param
 from .oracle import k_min_search
 from .recipes import weight_report
@@ -42,29 +45,15 @@ from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
 DEFAULT_MAX_P = 47
 FORMATS = ("table", "json", "csv")
 
-TABLE_CSV_COLUMNS = (
-    "type,a,b,twist,ratio,shape,lambda_equal,"
-    "k_serre,k_min,k_cris,n_weights,W,B,k_equal,sets_equal"
+TABLE_COLUMNS = (
+    "type", "a", "b", "twist", "ratio", "shape", "lambda_equal",
+    "k_serre", "k_min", "k_cris", "n_weights", "W", "B", "k_equal", "sets_equal",
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"environment variable {name} must be an integer, got {raw!r}")
+        raise ValueError(message)
 
 
 @lru_cache(maxsize=None)
@@ -80,11 +69,13 @@ def _build_parser() -> _Parser:
 
     d = sub.add_parser("decompose", parents=[common],
                        help="Jordan-Holder factors of Sym^N")
+    d.set_defaults(run=_cmd_decompose)
     d.add_argument("-p", type=int, required=True)
     d.add_argument("-N", type=int, required=True)
 
     k = sub.add_parser("kmin", parents=[common],
                        help="minimal weight of V(a,b)")
+    k.set_defaults(run=_cmd_kmin)
     k.add_argument("-p", type=int, required=True)
     k.add_argument("-a", type=int, required=True)
     k.add_argument("-b", type=int, required=True)
@@ -93,11 +84,13 @@ def _build_parser() -> _Parser:
 
     w = sub.add_parser("weights", parents=[common],
                        help="k values and weight sets for one parameter")
+    w.set_defaults(run=_cmd_weights)
     w.add_argument("param", metavar="PARAM_JSON",
                    help="inertial parameter as a JSON object")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run exhaustive theorem checks")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("-p", dest="prime_range", default=None, metavar="RANGE",
                    help=f"prime, comma list, or A..B range (default 3..{DEFAULT_MAX_P})")
     v.add_argument("--checks", default="all",
@@ -105,54 +98,43 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", parents=[common],
                        help="full per-prime table of all parameters")
+    t.set_defaults(run=_cmd_table)
     t.add_argument("-p", type=int, required=True)
 
     return top
 
 
 def _parse_prime_range(spec: Optional[str]) -> List[int]:
+    """The primes of an A..B range or the integers of a comma list; run_suite checks them."""
     spec = f"3..{DEFAULT_MAX_P}" if spec is None else spec.strip()
-    if ".." in spec:
-        lo_s, _, hi_s = spec.partition("..")
+    lo_s, dots, hi_s = spec.partition("..")
+    if dots:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise _UsageError(f"malformed prime range {spec!r}")
-        if lo > hi:
-            raise _UsageError(f"empty prime range {spec!r}")
+            raise ValueError(f"malformed prime range {spec!r}") from None
         if lo <= 2 <= hi:
             raise UnsupportedPrimeError("p = 2 is not supported; start the range at 3")
         return [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
-    primes = []
-    for part in spec.split(","):
-        try:
-            p = int(part)
-        except ValueError:
-            raise _UsageError(f"malformed prime {part!r}")
-        if p == 2:
-            raise UnsupportedPrimeError("p = 2 is not supported")
-        if not is_odd_prime(p):
-            raise _UsageError(f"{p} is not an odd prime")
-        primes.append(p)
-    return primes
+    try:
+        return [int(part) for part in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed prime list {spec!r}") from None
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _csv_text(rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -165,10 +147,6 @@ def _weights_str(objs: List[Dict[str, int]]) -> str:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    if not is_odd_prime(args.p):
-        raise _UsageError(f"-p must be an odd prime, got {args.p}")
-    if args.N < 0:
-        raise _UsageError(f"-N must be >= 0, got {args.N}")
     factors = decompose_sym(args.p, args.N).to_json_obj()
     if args.format == "csv":
         _emit(_csv_text([(f["a"], f["b"], f["mult"]) for f in factors]), args.out)
@@ -184,46 +162,28 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
-    if not is_odd_prime(args.p):
-        raise _UsageError(f"-p must be an odd prime, got {args.p}")
-    try:
-        w = SerreWeight(args.p, args.a, args.b)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    closed = k_min_closed(w)
+    w = SerreWeight(args.p, args.a, args.b)
+    result = {"p": args.p, "a": args.a, "b": args.b, "k_min": k_min_closed(w)}
+    shown = [result["k_min"]]  # the values of the csv row after (p, a, b), and of the table
     if args.search:
-        scanned = k_min_search(w)
-        agree = "match" if closed == scanned else "MISMATCH"
-        if args.format == "json":
-            obj = {"p": args.p, "a": args.a, "b": args.b, "k_min": closed,
-                   "k_min_search": scanned, "match": closed == scanned}
-            _emit(json.dumps(obj), args.out)
-        elif args.format == "csv":
-            _emit(_csv_text([(args.p, args.a, args.b, closed, scanned, agree)]), args.out)
-        else:
-            _emit(f"{closed}, {scanned}, {agree}", args.out)
-        return 0 if closed == scanned else 3
+        result["k_min_search"] = k_min_search(w)
+        result["match"] = result["k_min"] == result["k_min_search"]
+        shown += [result["k_min_search"], "match" if result["match"] else "MISMATCH"]
     if args.format == "json":
-        _emit(json.dumps({"p": args.p, "a": args.a, "b": args.b, "k_min": closed}), args.out)
+        _emit(json.dumps(result), args.out)
     elif args.format == "csv":
-        _emit(_csv_text([(args.p, args.a, args.b, closed)]), args.out)
+        _emit(_csv_text([[args.p, args.a, args.b] + shown]), args.out)
     else:
-        _emit(str(closed), args.out)
-    return 0
+        _emit(", ".join(map(str, shown)), args.out)
+    return 0 if result.get("match", True) else 3
 
 
 def _param_row(report: Dict[str, object]) -> Dict[str, object]:
-    param = report["param"]
+    # the first seven columns are parameter fields, blank where a type has none
+    row: Dict[str, object] = {c: report["param"].get(c, "") for c in TABLE_COLUMNS[:7]}
     ks, km, kc = report["k_serre"], report["k_min"], report["k_cris"]
     w_objs, b_objs = report["W"], report["B"]
-    row: Dict[str, object] = {
-        "type": param["type"],
-        "a": param.get("a", ""),
-        "b": param.get("b", ""),
-        "twist": param.get("twist", ""),
-        "ratio": param.get("ratio", ""),
-        "shape": param.get("shape", ""),
-        "lambda_equal": param.get("lambda_equal", ""),
+    row.update({
         "k_serre": ks,
         "k_min": km,
         "k_cris": kc,
@@ -232,19 +192,17 @@ def _param_row(report: Dict[str, object]) -> Dict[str, object]:
         "B": _weights_str(b_objs),
         "k_equal": ks == km == kc,
         "sets_equal": w_objs == b_objs,
-    }
+    })
     return row
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    param = parse_param(args.param)
-    report = weight_report(param)
+    report = weight_report(parse_param(args.param))
     if args.format == "json":
         _emit(json.dumps(report), args.out)
     elif args.format == "csv":
         row = _param_row(report)
-        cols = TABLE_CSV_COLUMNS.split(",")
-        _emit(_csv_text([cols, [row[c] for c in cols]]), args.out)
+        _emit(_csv_text([TABLE_COLUMNS, [row[c] for c in TABLE_COLUMNS]]), args.out)
     else:
         lines = [
             f"param:  {json.dumps(report['param'])}",
@@ -264,11 +222,15 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     primes = _parse_prime_range(args.prime_range)
     checks = args.checks if args.checks == "all" else args.checks.split(",")
-    jobs = args.jobs if args.jobs is not None else _env_int("SERREWT_JOBS", os.cpu_count() or 1)
-    try:
-        aggregate = run_suite(primes, checks, jobs=jobs)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    jobs = args.jobs
+    if jobs is None:
+        raw = os.environ.get("SERREWT_JOBS", str(os.cpu_count() or 1))
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"environment variable SERREWT_JOBS must be an integer, got {raw!r}") from None
+    aggregate = run_suite(primes, checks, jobs=jobs)
     if args.format == "json":
         _emit(json.dumps(aggregate), args.out)
     elif args.format == "csv":
@@ -291,10 +253,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if not is_odd_prime(args.p):
-        raise _UsageError(f"-p must be an odd prime, got {args.p}")
     rows = [_param_row(weight_report(param)) for param in enumerate_params(args.p)]
-    cols = TABLE_CSV_COLUMNS.split(",")
+    cols = TABLE_COLUMNS
     if args.format == "json":
         _emit(json.dumps(rows), args.out)
     elif args.format == "csv":
@@ -308,22 +268,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "kmin": _cmd_kmin,
-    "weights": _cmd_weights,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, ParamError, LevelOneError, UnsupportedPrimeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: usage and schema problems
-(ParamError, LevelOneError, UnsupportedPrimeError) exit with 2, a breached
-internal invariant (InternalInvariantError) exits with 3.
+The library is the only validator of its input, and every rejection is a
+ValueError: one of the three subclasses below, or a plain ValueError (say,
+N < 0, a weight outside its range or an unknown check).  The CLI maps any
+ValueError from a library call to exit 2, a usage error, and a breached
+internal invariant (InternalInvariantError) to exit 3.
 """
 
 
@@ -16,7 +18,8 @@ class LevelOneError(ValueError):
 
 
 class UnsupportedPrimeError(ValueError):
-    """The prime 2 (or a non-prime) was passed where an odd prime is required."""
+    """The prime 2, a non-prime, or a number too large for is_odd_prime to
+    decide was passed where an odd prime is required."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -16,14 +16,14 @@ run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
 each (prime, check) item list once and cuts it into (check, p, items)
 slices; a check with at least 2 * jobs items gets up to `jobs` slices, a
 smaller one stays whole.  At jobs = 1 the slices run in-process, in order;
-at jobs > 1 all slices of the call go through one process pool.  Failures are put back in item order for each
-run, so the aggregate JSON (timing fields aside) is a pure function of
-(primes, checks), whatever the worker count.  A run's "ms" is the sum of
-its slices' evaluation times.  At jobs = 1 that is the run's own time; at
-jobs > 1 it adds up time spent in several workers, so it is not the run's
-wall time and the runs' ms may sum to more than the call's wall time.
-All failures are collected rather than aborting at the first, so one run
-documents the complete mismatch pattern.
+at jobs > 1 all slices of the call go through one process pool.  Failures
+are put back in item order for each run, so the aggregate JSON (timing
+fields aside) is a pure function of (primes, checks), whatever the worker
+count.  A run's "ms" is the sum of its slices' evaluation times.  At
+jobs = 1 that is the run's own time; at jobs > 1 it adds up time spent in
+several workers, so it is not the run's wall time and the runs' ms may sum
+to more than the call's wall time.  All failures are collected rather than
+aborting at the first, so one run documents the complete mismatch pattern.
 """
 
 from __future__ import annotations

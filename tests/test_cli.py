@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,15 @@ def test_decompose_huge_n(capsys):
         {"a": 0, "b": 1, "mult": k + 1}, {"a": 0, "b": 3, "mult": k},
         {"a": 1, "b": 1, "mult": k}, {"a": 1, "b": 3, "mult": k},
     ]
+
+
+def test_decompose_21_digit_prime(capsys):
+    # primality of p is Miller-Rabin here, and Sym^5 is one factor for p > 5
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "-p", "100000000000000000039", "-N", "5",
+                         "--format", "csv")
+    assert (code, out, err) == (0, "0,6,1\n", "")
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +399,54 @@ def test_verify_unwritable_out_path(capsys):
     code, out, err = run(capsys, "verify", "-p", "3", "--out", "/nonexistent/dir/r.json")
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the error contract and --help
+
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+# case -> (SERREWT_JOBS or None, argv): every one is a usage error
+USAGE_ERRORS = {
+    "decompose-bad-p": (None, ("decompose", "-p", "4", "-N", "1")),
+    "decompose-negative-n": (None, ("decompose", "-p", "5", "-N", "-1")),
+    "decompose-p-above-primality-bound": (None, ("decompose", "-p", str(PRIMALITY_BOUND + 2), "-N", "5")),
+    "kmin-bad-p": (None, ("kmin", "-p", "4", "-a", "0", "-b", "1")),
+    "kmin-bad-a": (None, ("kmin", "-p", "5", "-a", "4", "-b", "2")),
+    "table-bad-p": (None, ("table", "-p", "4")),
+    "weights-bad-p": (None, ("weights", '{"p":4,"type":"irreducible","a":0,"b":3}')),
+    "verify-two-in-list": (None, ("verify", "-p", "3,2")),
+    "verify-two-in-range": (None, ("verify", "-p", "2..5")),
+    "verify-composite-in-list": (None, ("verify", "-p", "9")),
+    "verify-reversed-range": (None, ("verify", "-p", "9..3")),
+    "verify-range-without-prime": (None, ("verify", "-p", "24..28")),
+    "verify-empty-list-entry": (None, ("verify", "-p", "3,,5")),
+    "verify-malformed-prime": (None, ("verify", "-p", "abc")),
+    "verify-unknown-check": (None, ("verify", "-p", "5", "--checks", "nope")),
+    "verify-jobs-zero": (None, ("verify", "-p", "3", "--jobs", "0")),
+    "verify-jobs-env-not-int": ("x", ("verify", "-p", "3")),
+    "verify-brauer-above-cap": (None, ("verify", "-p", "37", "--checks", "brauer")),
+    "verify-unknown-flag": (None, ("verify", "-p", "3", "--bogus")),
+    "table-unwritable-out": (None, ("table", "-p", "3", "--out", "/nonexistent/dir/t.csv")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_stderr_line_and_exit_2(capsys, monkeypatch, case):
+    jobs_env, argv = USAGE_ERRORS[case]
+    if jobs_env is not None:
+        monkeypatch.setenv("SERREWT_JOBS", jobs_env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: serrewt [-h] {decompose,kmin,weights,verify,table} ...\n")
+    # a subcommand's help is its own usage
+    code, out, err = run(capsys, "verify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: serrewt verify") and "--checks" in out
