@@ -134,7 +134,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _csv_text(rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows(rows)
     return buf.getvalue()
 
 
