@@ -9,16 +9,16 @@ Subcommands:
   verify      exhaustive per-prime theorem checks
   table       one row per inertial parameter at a prime
 
-Common flags: --format {table|json|csv}, --out PATH, --jobs N.  Exit codes:
-0 success / all checks pass, 1 a verification check found counterexamples,
-2 usage or schema errors (including p = 2 and I/O problems), 3 breached
-internal invariant.  The library is the only validator: a ValueError from
-any library call (ParamError, LevelOneError and UnsupportedPrimeError
-among them) or an OSError is a usage error and exits 2, and an
-InternalInvariantError exits 3.  Environment: SERREWT_JOBS, the default
-worker count; --jobs wins over it, and either is capped at os.cpu_count().
-The coverage of each verify check is fixed by p (see serrewt.verify), and
--p defaults to 3..47.
+Common flags: --format {table|json|csv}, --out PATH; verify adds --jobs N.
+Exit codes: 0 success / all checks pass, 1 a verification check found
+counterexamples, 2 usage or schema errors (including p = 2 and I/O
+problems), 3 breached internal invariant.  The library is the only
+validator: a ValueError from any library call (ParamError, LevelOneError
+and UnsupportedPrimeError among them) or an OSError is a usage error and
+exits 2, and an InternalInvariantError exits 3.  Environment:
+SERREWT_JOBS, the default verify worker count; --jobs wins over it, and
+either is capped at os.cpu_count().  The coverage of each verify check is
+fixed by p (see serrewt.verify), and -p defaults to 3..47.
 
 Output is deterministic byte-for-byte for fixed inputs except for the "ms"
 timing fields of verification reports.
@@ -43,6 +43,7 @@ from .verify import run_suite
 from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
 
 DEFAULT_MAX_P = 47
+MAX_RANGE_TOP = 10_000  # bounds the primality loop; no suite finishes near it
 FORMATS = ("table", "json", "csv")
 
 TABLE_COLUMNS = (
@@ -61,7 +62,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=None, metavar="N")
 
     top = _Parser(prog="serrewt", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -91,6 +91,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", parents=[common],
                        help="run exhaustive theorem checks")
     v.set_defaults(run=_cmd_verify)
+    v.add_argument("--jobs", type=int, default=None, metavar="N")
     v.add_argument("-p", dest="prime_range", default=None, metavar="RANGE",
                    help=f"prime, comma list, or A..B range (default 3..{DEFAULT_MAX_P})")
     v.add_argument("--checks", default="all",
@@ -115,6 +116,8 @@ def _parse_prime_range(spec: Optional[str]) -> List[int]:
             raise ValueError(f"malformed prime range {spec!r}") from None
         if lo <= 2 <= hi:
             raise UnsupportedPrimeError("p = 2 is not supported; start the range at 3")
+        if hi > MAX_RANGE_TOP:
+            raise ValueError(f"a prime range may end at most at {MAX_RANGE_TOP}, got {spec!r}")
         return [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
     try:
         return [int(part) for part in spec.split(",")]

@@ -23,8 +23,9 @@ Two oracles, deliberately separate from the code they certify:
     row more per unit of k elsewhere).  The residual is then affine in k
     and vanishes at k = 0 and 1, hence at every k.
 
-  * Brute-force minimal weight.  k_min_search scans Sym^0, Sym^1, ... for
-    the first occurrence of a weight, independent of the closed form.
+  * Brute-force minimal weight.  k_min_search scans Sym^(k-2) for the
+    first occurrence of a weight, at the k of its central character only,
+    independent of the closed form.
 
 A Brauer character at a p-regular class depends only on the exponents
 (i, i') of the class's lifted eigenvalues zeta^i, zeta^i', so a class is that
@@ -53,7 +54,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import InternalInvariantError
-from .weights import SerreWeight, _decompose, is_odd_prime
+from .weights import SerreWeight, _decompose, _least_k, is_odd_prime
 
 MAX_ORACLE_P = 31
 
@@ -197,9 +198,5 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
 
 
 def k_min_search(w: SerreWeight) -> int:
-    """Least k in [2, p^2] whose Sym^(k-2) contains w, by direct scan at w.p."""
-    p, key = w.p, (w.a, w.b)
-    for k in range(2, p * p + 1):
-        if key in _decompose(p, k - 2):
-            return k
-    raise InternalInvariantError(f"no k <= p^2 contains {w}")
+    """Least k in [2, p^2] whose Sym^(k-2) contains w, by _least_k's scan at w.p."""
+    return _least_k(w.p, {(w.a, w.b): 1})

@@ -43,7 +43,7 @@ from .galois_params import (
     normalize_level2,
     param_to_dict,
 )
-from .weights import SerreWeight, _decompose, k_min_closed
+from .weights import SerreWeight, _jh_sum, _least_k, k_min_closed
 
 WeightSet = Tuple[SerreWeight, ...]
 
@@ -200,17 +200,14 @@ def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
     return out
 
 
+def _bm_weights(param: InertialParam) -> Dict[Tuple[int, int], int]:
+    """{(m, n+1): mu} over the Breuil-Mezard support of the parameter."""
+    return {(m, n + 1): mu for n, m, mu in mu_support(param)}
+
+
 def bm_set(param: InertialParam) -> WeightSet:
     """B(rho) = { V(m, n+1) : mu_(n,m)(rho) > 0 }, ordered by (a, b)."""
-    weights = sorted(
-        SerreWeight(param.p, m, n + 1) for n, m, _ in mu_support(param)
-    )
-    return tuple(weights)
-
-
-def _weighted_jh_sum(p: int, k: int, support: List[Tuple[int, int, int]]) -> int:
-    factors = _decompose(p, k - 2)
-    return sum(factors.get((m, n + 1), 0) * mu for n, m, mu in support)
+    return tuple(sorted(SerreWeight(param.p, a, b) for a, b in _bm_weights(param)))
 
 
 def bm_multiplicity(param: InertialParam, k: int) -> int:
@@ -218,28 +215,13 @@ def bm_multiplicity(param: InertialParam, k: int) -> int:
     sum over (n, m) of (multiplicity of V(m, n+1) in Sym^(k-2)) * mu_(n,m)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _weighted_jh_sum(param.p, k, mu_support(param))
+    return _jh_sum(param.p, k - 2, _bm_weights(param))
 
 
 def k_cris(param: InertialParam) -> int:
-    """Least k >= 2 with bm_multiplicity(param, k) > 0.
-
-    The scan is bounded by p^2; exhausting it contradicts the non-emptiness
-    of B(rho) and raises InternalInvariantError.  Weights occurring in
-    Sym^(k-2) have central character k - 2 mod p-1, so k outside the
-    residues of the support weights is skipped without evaluating the sum.
-    """
-    p = param.p
-    support = mu_support(param)
-    if not support:
-        raise InternalInvariantError(f"empty Breuil-Mezard support for {param}")
-    residues = {(2 * m + n) % (p - 1) for n, m, _ in support}
-    for k in range(2, p * p + 1):
-        if (k - 2) % (p - 1) not in residues:
-            continue
-        if _weighted_jh_sum(p, k, support) > 0:
-            return k
-    raise InternalInvariantError(f"no weight k <= p^2 found for {param}")
+    """Least k >= 2 with bm_multiplicity(param, k) > 0, by _least_k's scan of
+    Sym^(k-2), k <= p^2; B(rho) is never empty, so finding none raises InternalInvariantError."""
+    return _least_k(param.p, _bm_weights(param))
 
 
 def weight_report(param: InertialParam) -> Dict[str, object]:

@@ -238,6 +238,23 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     return factors
 
 
+def _jh_sum(p: int, N: int, weights: Mapping[Tuple[int, int], int]) -> int:
+    """sum(c * multiplicity of V(a, b) in Sym^N) over weights {(a, b): c}."""
+    return sum(_decompose(p, N).get(key, 0) * c for key, c in weights.items())
+
+
+def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
+    """Least k in [2, p^2] with _jh_sum(p, k-2, weights) > 0, all c > 0.
+    Every factor of Sym^N has central character N mod p-1, so only the k
+    with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed; an
+    exhausted scan (say, empty weights) raises InternalInvariantError."""
+    residues = {(2 * a + b - 1) % (p - 1) for a, b in weights}
+    for k in sorted(k for r in residues for k in range(2, p * p + 1)[r::p - 1]):
+        if _jh_sum(p, k - 2, weights) > 0:
+            return k
+    raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")
+
+
 def decompose_sym(p: int, N: int) -> VirtualClass:
     """Jordan-Holder factors of Sym^N with multiplicities; N < 0 raises
     ValueError.

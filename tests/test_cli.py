@@ -291,6 +291,14 @@ def test_verify_range_without_odd_prime_is_usage_error(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+def test_verify_range_top_is_bounded_before_any_primality_test(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "-p", "3..10000000000000")
+    assert (code, out) == (2, "") and str(cli.MAX_RANGE_TOP) in err
+    assert time.perf_counter() - start < 1
+    assert cli._parse_prime_range(f"{cli.MAX_RANGE_TOP - 30}..{cli.MAX_RANGE_TOP}")
+
+
 @pytest.mark.parametrize("flag", ["--k-max", "--brauer-n-max", "--oracle-max-p"])
 def test_verify_coverage_flags_are_gone(capsys, flag):
     assert run(capsys, "verify", "-p", "3", flag, "5")[0] == 2
@@ -409,6 +417,7 @@ PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 # case -> (SERREWT_JOBS or None, argv): every one is a usage error
 USAGE_ERRORS = {
     "decompose-bad-p": (None, ("decompose", "-p", "4", "-N", "1")),
+    "decompose-jobs-flag": (None, ("decompose", "-p", "5", "-N", "3", "--jobs", "2")),
     "decompose-negative-n": (None, ("decompose", "-p", "5", "-N", "-1")),
     "decompose-p-above-primality-bound": (None, ("decompose", "-p", str(PRIMALITY_BOUND + 2), "-N", "5")),
     "kmin-bad-p": (None, ("kmin", "-p", "4", "-a", "0", "-b", "1")),
@@ -420,6 +429,7 @@ USAGE_ERRORS = {
     "verify-composite-in-list": (None, ("verify", "-p", "9")),
     "verify-reversed-range": (None, ("verify", "-p", "9..3")),
     "verify-range-without-prime": (None, ("verify", "-p", "24..28")),
+    "verify-range-top-above-limit": (None, ("verify", "-p", "3..10000000000000")),
     "verify-empty-list-entry": (None, ("verify", "-p", "3,,5")),
     "verify-malformed-prime": (None, ("verify", "-p", "abc")),
     "verify-unknown-check": (None, ("verify", "-p", "5", "--checks", "nope")),
@@ -449,4 +459,4 @@ def test_help_exits_zero(capsys):
     # a subcommand's help is its own usage
     code, out, err = run(capsys, "verify", "--help")
     assert (code, err) == (0, "")
-    assert out.startswith("usage: serrewt verify") and "--checks" in out
+    assert out.startswith("usage: serrewt verify") and "--checks" in out and "--jobs" in out

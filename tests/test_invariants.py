@@ -24,6 +24,25 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_scans_never_reach_the_closed_form():
+    # k_min_search and k_cris are checked against k_min_closed, so neither
+    # they nor any package function they call may use it
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                defs[node.name] = defs.get(node.name, set()) | names
+    todo, seen = ["k_min_search", "k_cris", "_least_k"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo += [n for n in defs[name] & set(defs) if n not in seen and n != "k_min_closed"]
+    assert {"_least_k", "_jh_sum", "mu_support"} <= seen
+    assert sorted(name for name in seen if "k_min_closed" in defs[name]) == []
+
+
 def test_breached_guard_raises_internal_invariant_error():
     with pytest.raises(InternalInvariantError):
         _poly_divmod((1, 2, 3), (1, 2))  # divisor is not monic

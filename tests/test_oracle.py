@@ -338,6 +338,17 @@ def test_k_min_search_examples():
     assert k_min_search(SerreWeight(3, 1, 3)) == 8
 
 
+def test_k_min_search_decomposes_one_residue_class():
+    # Sym^(k-2), k <= p^2, has p+1 powers of w's central character, and
+    # V(p-2, p) first occurs at k = p^2 - 1
+    p = 47
+    for a in (0, 1, 22, 44, 45):
+        for b in (1, 2, 24, 46, 47):
+            _decompose.cache_clear()
+            k_min_search(SerreWeight(p, a, b))
+            assert _decompose.cache_info().misses <= p + 1, (a, b)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_k_min_search_agrees_with_closed_form(p):
     for a in range(p - 1):

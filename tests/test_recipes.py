@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrewt import cli, recipes
+from serrewt.errors import InternalInvariantError
 from serrewt.galois_params import (
     SHAPE_NONSPLIT,
     SHAPE_PEU,
@@ -25,7 +27,7 @@ from serrewt.recipes import (
     serre_k,
     weight_report,
 )
-from serrewt.weights import SerreWeight, decompose_sym, k_min_closed
+from serrewt.weights import SerreWeight, _decompose, decompose_sym, k_min_closed
 
 from strategies import params
 
@@ -344,6 +346,27 @@ def test_k_cris_is_least_k_with_positive_multiplicity(x):
 @settings(max_examples=80, deadline=None)
 def test_k_cris_equals_min_over_bm_set(x):
     assert k_cris(x) == min(k_min_closed(w) for w in bm_set(x))
+
+
+def test_k_cris_decomposes_only_the_support_residues():
+    # Sym^(k-2), k <= p^2, has p+1 powers in each residue class mod p-1, and
+    # only the classes of the support weights' central characters are scanned
+    p = 47
+    for param in enumerate_params(p)[::97]:
+        residues = {(2 * m + n) % (p - 1) for n, m, _ in mu_support(param)}
+        _decompose.cache_clear()
+        k_cris(param)
+        assert _decompose.cache_info().misses <= (p + 1) * len(residues), param
+
+
+def test_empty_support_breaches_an_invariant(monkeypatch, capsys):
+    # B(rho) is never empty, so a scan over an empty support is a breach (exit 3)
+    monkeypatch.setattr(recipes, "mu_support", lambda param: [])
+    with pytest.raises(InternalInvariantError):
+        k_cris(Irreducible(5, 0, 3))
+    assert cli.main(["weights", '{"p":5,"type":"irreducible","a":0,"b":3}']) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant breached: ")
 
 
 # ---------------------------------------------------------------------------
