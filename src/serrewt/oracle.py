@@ -54,7 +54,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import InternalInvariantError
-from .weights import SerreWeight, _decompose, _least_k, is_odd_prime
+from .weights import SerreWeight, _decompose, _least_k, _require_odd_prime
 
 MAX_ORACLE_P = 31
 
@@ -134,8 +134,7 @@ def p_regular_classes(p: int) -> Tuple[Tuple[int, int], ...]:
     smaller of its orbit and not divisible by p+1.  The total p(p-1) is
     the number of irreducible Brauer characters.
     """
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     n = p * p - 1
     units = range(0, n, p + 1)  # F_p^*: the (p+1)-th powers of zeta
     out = [(i, i) for i in units]

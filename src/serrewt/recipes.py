@@ -104,7 +104,7 @@ def bdj_weight_set(param: InertialParam) -> WeightSet:
     else:
         base = _weight_row(param)
         t = param.twist
-    weights = sorted(SerreWeight.reduced(p, a + t, b) for a, b in base)
+    weights = sorted(SerreWeight(p, (a + t) % (p - 1), b) for a, b in base)
     if len(set(weights)) != len(weights):
         raise InternalInvariantError(f"repeated weight in W(rho) for {param}")
     return tuple(weights)
@@ -192,12 +192,7 @@ def _candidate_cells(param: InertialParam) -> List[Tuple[int, int]]:
 
 def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
     """All (n, m, mu) with mu = kisin_mu(param, n, m) > 0, sorted by (n, m)."""
-    out = []
-    for n, m in _candidate_cells(param):
-        mu = kisin_mu(param, n, m)
-        if mu > 0:
-            out.append((n, m, mu))
-    return out
+    return [(n, m, mu) for n, m in _candidate_cells(param) if (mu := kisin_mu(param, n, m)) > 0]
 
 
 def _bm_weights(param: InertialParam) -> Dict[Tuple[int, int], int]:

@@ -10,7 +10,13 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
   brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
              named explicitly, and only for p <= oracle.MAX_ORACLE_P
 
-The coverage of every check is a fixed function of p.
+The coverage of every check is a fixed function of p.  k <= 3p proves the
+recursion identity at every k: along k = k0 mod p+1 the Sym indices grow by
+whole periods p^2 - 1, each adding a class fixed by the index mod p-1, so
+for k >= 2 (every index >= 0) both sides are affine in the period count,
+and [2, 2p+3] holds two k of every residue.  [-2p, 4p] is less than one
+period of the periodic relation for p >= 7, so that check only samples
+it; its range is left as it is.
 
 run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
 each (prime, check) item list once and cuts it into (check, p, items)

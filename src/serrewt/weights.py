@@ -27,6 +27,7 @@ the "Serre weights".  This module implements:
 Inside the library a weight at a known prime p is its pair (a, b): the
 cached decomposition and every VirtualClass are keyed by such pairs, and
 a SerreWeight is built only where a weight enters or leaves the library.
+A pair is checked where a caller hands it in, never again after that.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -34,6 +35,7 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
@@ -110,11 +112,6 @@ class SerreWeight:
         _require_odd_prime(self.p)
         _require_weight_range(self.p, self.a, self.b)
 
-    @classmethod
-    def reduced(cls, p: int, a: int, b: int) -> "SerreWeight":
-        """Construct V(a mod p-1, b), canonicalizing the twist exponent."""
-        return cls(p, a % (p - 1), b)
-
     def central_character(self) -> int:
         """Exponent c with scalars x acting by x^c, reduced mod p-1."""
         return (2 * self.a + self.b - 1) % (self.p - 1)
@@ -132,28 +129,22 @@ class SerreWeight:
 class VirtualClass:
     """An integer linear combination of Serre-weight classes at a fixed prime.
 
-    VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); every
-    key must be a weight at p (0 <= a <= p-2, 1 <= b <= p) or ValueError
-    is raised.  Zero coefficients are never stored.  Instances are
-    immutable in intent; arithmetic returns new objects.  Weights leave a
-    class as SerreWeight objects, through items().
+    VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); p and
+    every key, zero coefficients included, are checked (0 <= a <= p-2,
+    1 <= b <= p) or ValueError is raised.  Derived classes (arithmetic,
+    twist, decompose_sym, sym_class) are built by _class, unchecked.  Zero
+    coefficients are never stored.  Instances are immutable in intent;
+    arithmetic returns new objects.  Weights leave through items().
     """
 
     __slots__ = ("p", "_coeffs")
 
     def __init__(self, p: int, coeffs: Mapping[Tuple[int, int], int] | None = None):
         _require_odd_prime(p)
-        store: Dict[Tuple[int, int], int] = {}
-        for (a, b), c in (coeffs or {}).items():
+        for a, b in coeffs or {}:
             _require_weight_range(p, a, b)
-            if c:
-                store[(a, b)] = c
         self.p = p
-        self._coeffs = store
-
-    @classmethod
-    def of_weight(cls, w: SerreWeight, mult: int = 1) -> "VirtualClass":
-        return cls(w.p, {(w.a, w.b): mult})
+        self._coeffs = {key: c for key, c in (coeffs or {}).items() if c}
 
     def coefficient(self, w: SerreWeight) -> int:
         """Coefficient of w; 0 for a weight at another prime."""
@@ -180,18 +171,18 @@ class VirtualClass:
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
             out[key] = out.get(key, 0) + c
-        return VirtualClass(self.p, out)
+        return _class(self.p, out)
 
     def __sub__(self, other: "VirtualClass") -> "VirtualClass":
         return self + (-other)
 
     def __neg__(self) -> "VirtualClass":
-        return VirtualClass(self.p, {key: -c for key, c in self._coeffs.items()})
+        return _class(self.p, {key: -c for key, c in self._coeffs.items()})
 
     def twist(self, t: int) -> "VirtualClass":
         """Tensor by det^t (a bijection on weights, so coefficients move)."""
         q = self.p - 1
-        return VirtualClass(self.p, {((a + t) % q, b): c for (a, b), c in self._coeffs.items()})
+        return _class(self.p, {((a + t) % q, b): c for (a, b), c in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualClass):
@@ -206,6 +197,13 @@ class VirtualClass:
             return f"VirtualClass(p={self.p}, 0)"
         body = " + ".join(f"{c}*{w}" for w, c in self.items())
         return f"VirtualClass(p={self.p}, {body})"
+
+
+def _class(p: int, coeffs: Mapping[Tuple[int, int], int]) -> VirtualClass:
+    """VirtualClass(p, coeffs) for keys that are weights at p by construction, unchecked."""
+    out = object.__new__(VirtualClass)
+    out.p, out._coeffs = p, {key: c for key, c in coeffs.items() if c}
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +244,10 @@ def _jh_sum(p: int, N: int, weights: Mapping[Tuple[int, int], int]) -> int:
 def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
     """Least k in [2, p^2] with _jh_sum(p, k-2, weights) > 0, all c > 0.
     Every factor of Sym^N has central character N mod p-1, so only the k
-    with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed; an
-    exhausted scan (say, empty weights) raises InternalInvariantError."""
+    with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, their
+    progressions merged lazily; an exhausted scan raises InternalInvariantError."""
     residues = {(2 * a + b - 1) % (p - 1) for a, b in weights}
-    for k in sorted(k for r in residues for k in range(2, p * p + 1)[r::p - 1]):
+    for k in heapq.merge(*(range(2, p * p + 1)[r::p - 1] for r in residues)):
         if _jh_sum(p, k - 2, weights) > 0:
             return k
     raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")
@@ -263,7 +261,7 @@ def decompose_sym(p: int, N: int) -> VirtualClass:
     sum(mult * b) = N + 1, and every factor V(a, b) has central character
     (2a + b - 1) = N mod p-1.
     """
-    return VirtualClass(p, _decompose(p, N))
+    return _class(p, _decompose(p, N))
 
 
 def sym_class(p: int, N: int) -> VirtualClass:
@@ -275,10 +273,10 @@ def sym_class(p: int, N: int) -> VirtualClass:
     integer index.
     """
     if N == -1:
-        return VirtualClass(p)
+        return VirtualClass(p)  # checks p; every other N reaches _decompose, which does
     if N < -1:
         return (-sym_class(p, -N - 2)).twist(N + 1)
-    return VirtualClass(p, _decompose(p, N))
+    return _class(p, _decompose(p, N))
 
 
 def k_min_closed(w: SerreWeight) -> int:

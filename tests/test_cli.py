@@ -4,7 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +26,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+def run_capped(*argv):
+    """The CLI on argv in a fresh process capped at 1 GiB of address space
+    and 10 s, so that a large-p regression fails fast instead of exhausting
+    the machine's memory.  Returns (code, stdout, stderr, wall seconds)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "serrewt.cli", *argv], capture_output=True, text=True,
+                          timeout=10, env=env, preexec_fn=_cap_address_space)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+BIG_P = "100000000000000000039"  # a 21-digit prime: Miller-Rabin decides it
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +110,11 @@ def test_decompose_huge_n(capsys):
     ]
 
 
-def test_decompose_21_digit_prime(capsys):
-    # primality of p is Miller-Rabin here, and Sym^5 is one factor for p > 5
-    start = time.perf_counter()
-    code, out, err = run(capsys, "decompose", "-p", "100000000000000000039", "-N", "5",
-                         "--format", "csv")
+def test_decompose_21_digit_prime():
+    # Sym^5 is one factor for p > 5
+    code, out, err, seconds = run_capped("decompose", "-p", BIG_P, "-N", "5", "--format", "csv")
     assert (code, out, err) == (0, "0,6,1\n", "")
-    assert time.perf_counter() - start < 1
+    assert seconds < 1
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +132,13 @@ def test_kmin_search(capsys):
     code, out, _ = run(capsys, "kmin", "-p", "3", "-a", "1", "-b", "3", "--search")
     assert code == 0
     assert out.strip() == "8, 8, match"
+
+
+def test_kmin_search_21_digit_prime():
+    # the scan visits the k of one residue class lazily, not all p^2 of them
+    code, out, err, seconds = run_capped("kmin", "-p", BIG_P, "-a", "0", "-b", "1", "--search")
+    assert (code, out, err) == (0, "2, 2, match\n", "")
+    assert seconds < 1
 
 
 def test_kmin_json(capsys):
@@ -149,6 +177,15 @@ def test_weights_irreducible(capsys):
     obj = json.loads(out)
     assert obj["k_serre"] == obj["k_min"] == obj["k_cris"] == 4
     assert obj["W"] == obj["B"]
+
+
+def test_weights_21_digit_prime():
+    # k_cris scans Sym^(k-2) up to k = p^2 lazily; V(0, 1) stops it at k = 2
+    peu = '{"p":%s,"type":"reducible","twist":0,"ratio":1,"shape":"peu","lambda_equal":true}' % BIG_P
+    code, out, err, seconds = run_capped("weights", peu, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["k_cris"] == 2
+    assert seconds < 1
 
 
 def test_weights_schema_violation(capsys):

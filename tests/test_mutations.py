@@ -15,9 +15,12 @@ library's behaviour with one rule changed; the checks that catch it:
     patched wherever the library holds it, i.e. in weights, recipes and
     oracle (recursion, main, kmin, brauer);
   * normalize_level2: the exponent reduced modulo p^2 - 2, not p^2 - 1
-    (bm).
+    (bm);
+  * VirtualClass.twist: the exponent a + t left unreduced modulo p-1
+    (recursion).  Derived classes are built without checking their keys,
+    so the fault is reported as failed items, not raised as ValueError.
 
-Kill rate: 7 of 8 planted faults are caught by the checks.  The eighth,
+Kill rate: 8 of 9 planted faults are caught by the checks.  The ninth,
 the split multiplicity `4 if lam else 2` in kisin_mu (n = p-2) changed to
 2, passes every check: only whether mu > 0 enters bm_set, and k_cris is
 the least k whose weighted Jordan-Holder sum is positive, so no check reads
@@ -138,6 +141,10 @@ def _normalize_level2_off_by_one(orig):
     return fault
 
 
+def _twist_unreduced(self, t):
+    return weights._class(self.p, {(a + t, b): c for (a, b), c in self._coeffs.items()})  # fault: no % (p-1)
+
+
 # name -> (install(monkeypatch), checks that must report failures)
 MUTANTS = {
     "k_min_closed_boundary": (
@@ -172,6 +179,10 @@ MUTANTS = {
             _normalize_level2_off_by_one(galois_params.normalize_level2),
         ),
         {"bm"},
+    ),
+    "twist_unreduced": (
+        lambda mp: mp.setattr(weights.VirtualClass, "twist", _twist_unreduced),
+        {"recursion"},
     ),
 }
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrewt import weights
 from serrewt.errors import UnsupportedPrimeError
+from serrewt.verify import run_suite
 from serrewt.weights import (
     _MR_BOUND,
     SerreWeight,
@@ -248,7 +250,7 @@ def test_jh_multiplicity():
 
 def test_sym_class_conventions():
     assert sym_class(5, -1) == VirtualClass(5)
-    assert sym_class(5, 2) == VirtualClass.of_weight(W(5, 0, 3))
+    assert sym_class(5, 2) == VirtualClass(5, {(0, 3): 1})
 
 
 def test_sym_class_negative_three():
@@ -277,10 +279,43 @@ def test_recursion_identity(p):
             lhs = sym_class(p, n + k * (p - 1))
             rhs = (
                 sym_class(p, n)
-                + VirtualClass.of_weight(SerreWeight.reduced(p, n, p - n))
+                + VirtualClass(p, {(n % (p - 1), p - n): 1})
                 + sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
             )
             assert lhs == rhs, (p, n, k)
+
+
+# ---------------------------------------------------------------------------
+# derived classes: built unchecked, with the checking constructor as reference
+
+
+def _checked(x):
+    """x rebuilt by the checking constructor from its own pairs."""
+    return VirtualClass(x.p, {(e["a"], e["b"]): e["mult"] for e in x.to_json_obj()})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_derived_classes_equal_their_checked_rebuild(p):
+    for N in range(-3 * p * p, 3 * p * p + 1):
+        derived = [sym_class(p, N), sym_class(p, N).twist(1), sym_class(p, N) - sym_class(p, N - 1)]
+        if N >= 0:
+            derived.append(decompose_sym(p, N))
+        for x in derived:
+            assert x == _checked(x), (p, N)
+
+
+def test_recursion_check_checks_one_weight_per_lemma_item(monkeypatch):
+    # the lemma's V(n, p-n) is the only class it builds from caller pairs
+    calls = []
+    check = weights._require_weight_range
+
+    def counted(p, a, b):
+        calls.append((a, b))
+        check(p, a, b)
+
+    monkeypatch.setattr(weights, "_require_weight_range", counted)
+    assert run_suite([13], ["recursion"])["pass"]
+    assert len(calls) <= (13 - 1) * 3 * 13  # lemma items: n in [1, p-1], k in [1, 3p]
 
 
 # ---------------------------------------------------------------------------
