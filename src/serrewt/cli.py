@@ -120,9 +120,16 @@ def _parse_prime_range(spec: Optional[str]) -> List[int]:
             raise ValueError(f"a prime range may end at most at {MAX_RANGE_TOP}, got {spec!r}")
         return [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
     try:
-        return [int(part) for part in spec.split(",")]
+        primes = [int(part) for part in spec.split(",")]
     except ValueError:
         raise ValueError(f"malformed prime list {spec!r}") from None
+    _require_below_top(max(primes))
+    return primes
+
+
+def _require_below_top(p: int) -> None:
+    if p > MAX_RANGE_TOP:  # verify and table enumerate every parameter at p
+        raise ValueError(f"verify and table take p <= {MAX_RANGE_TOP}, got {p}")
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -257,6 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    _require_below_top(args.p)
     rows = [_param_row(weight_report(param)) for param in enumerate_params(args.p)]
     cols = TABLE_COLUMNS
     if args.format == "json":

@@ -1,11 +1,16 @@
-"""Per-class Brauer characters in Z[x]/Phi_n(x), n = p^2 - 1: the reference
-that oracle.verify_decomposition must agree with.
+"""References that oracle.verify_decomposition must agree with, one class
+at a time.
 
-The library compares, for all p-regular classes at once, the multisets of
-lifted eigenvalue exponents of Sym^N and of its claimed factors.  This
-module computes the characters themselves one class at a time, as exact
-elements of Z[x]/Phi_n(x), so tests can compare the two: a class whose
-character differs must have differing multisets.
+The library decides, at each p-regular class, whether the multisets of
+lifted eigenvalue exponents of Sym^N and of its claimed factors are equal,
+from the boundaries of their arithmetic progressions.  This module keeps
+two definitions to compare it with, neither built on that test (the
+characters use only the cyclotomic polynomials of serrewt.oracle):
+
+  * dense_residual counts the exponents term by term, so a class must fail
+    iff its row is nonzero, and its failure entry must carry that row;
+  * the Brauer characters themselves, as exact elements of Z[x]/Phi_n(x),
+    n = p^2 - 1: a class whose character differs must fail.
 """
 
 from __future__ import annotations
@@ -115,3 +120,18 @@ def brauer_char_sym(p: int, N: int, c: Tuple[int, int]) -> CyclotomicElement:
         e = (t * i + (N - t) * i2) % n
         counts[e] = counts.get(e, 0) + 1
     return _element_from_exponent_counts(n, counts)
+
+
+def dense_residual(p: int, N: int, factors: Dict[Tuple[int, int], int], c: Tuple[int, int]) -> List[int]:
+    """Entry e: the number of eigenvalues zeta^e of Sym^N at the class with
+    eigenvalue exponents c = (i, i'), minus that of the factors
+    {(a, b): mult}, counted one eigenvalue at a time."""
+    n = p * p - 1
+    i, i2 = c
+    row = [0] * n
+    for t in range(N + 1):
+        row[(t * i + (N - t) * i2) % n] += 1
+    for (a, b), mult in factors.items():
+        for t in range(b):
+            row[(a * (i + i2) + t * i + (b - 1 - t) * i2) % n] -= mult
+    return row

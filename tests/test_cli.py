@@ -460,6 +460,7 @@ USAGE_ERRORS = {
     "kmin-bad-p": (None, ("kmin", "-p", "4", "-a", "0", "-b", "1")),
     "kmin-bad-a": (None, ("kmin", "-p", "5", "-a", "4", "-b", "2")),
     "table-bad-p": (None, ("table", "-p", "4")),
+    "table-p-above-limit": (None, ("table", "-p", "1000003")),
     "weights-bad-p": (None, ("weights", '{"p":4,"type":"irreducible","a":0,"b":3}')),
     "verify-two-in-list": (None, ("verify", "-p", "3,2")),
     "verify-two-in-range": (None, ("verify", "-p", "2..5")),
@@ -467,6 +468,8 @@ USAGE_ERRORS = {
     "verify-reversed-range": (None, ("verify", "-p", "9..3")),
     "verify-range-without-prime": (None, ("verify", "-p", "24..28")),
     "verify-range-top-above-limit": (None, ("verify", "-p", "3..10000000000000")),
+    "verify-list-prime-above-limit": (None, ("verify", "-p", "10007", "--checks", "kmin")),
+    "verify-huge-prime-in-list": (None, ("verify", "-p", "100000000000000000039", "--checks", "main")),
     "verify-empty-list-entry": (None, ("verify", "-p", "3,,5")),
     "verify-malformed-prime": (None, ("verify", "-p", "abc")),
     "verify-unknown-check": (None, ("verify", "-p", "5", "--checks", "nope")),

@@ -24,6 +24,21 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_package_imports_no_numpy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_scans_never_reach_the_closed_form():
     # k_min_search and k_cris are checked against k_min_closed, so neither
     # they nor any package function they call may use it
@@ -48,13 +63,23 @@ def test_breached_guard_raises_internal_invariant_error():
         _poly_divmod((1, 2, 3), (1, 2))  # divisor is not monic
 
 
-def _run_optimized(*argv):
+def _package_env():
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _run_optimized(*argv):
     return subprocess.run(
         [sys.executable, "-O", "-m", "serrewt.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_package_env(), capture_output=True, text=True, timeout=300,
     )
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import serrewt.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_under_optimize_flag():

@@ -1,6 +1,8 @@
 """Tests for the Brauer-character and scan oracles."""
 
 import json
+import random
+import time
 from functools import lru_cache
 from math import gcd
 
@@ -23,6 +25,7 @@ from brauer_reference import (
     brauer_char_weight,
     cyclo_one,
     cyclo_zero,
+    dense_residual,
     zeta_power,
 )
 
@@ -237,8 +240,8 @@ def test_verify_decomposition_examples(p, N):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_fast_path_agrees_with_ring_elements(p):
-    # the vectorized checker must agree with the per-class CyclotomicElement
-    # reference in brauer_reference
+    # the boundary certificate must agree with the per-class
+    # CyclotomicElement reference in brauer_reference
     n = p * p - 1
     for N in range(0, 3 * p + 1):
         report = verify_decomposition(p, N)
@@ -252,17 +255,38 @@ def test_fast_path_agrees_with_ring_elements(p):
             assert lhs == rhs, (p, N, c)
 
 
-def _plant_wrong_factor(monkeypatch):
-    """Give the oracle a decomposition with one factor twisted by det; the
-    claimed dimensions still add up to N + 1."""
+def _twist(p, factors, key):
+    mult = factors.pop(key)
+    twisted = ((key[0] + 1) % (p - 1), key[1])
+    factors[twisted] = factors.get(twisted, 0) + mult
+
+
+def _twist_least(p, N, factors):
+    _twist(p, factors, min(factors))
+
+
+def _seeded_fault(p, N, factors):
+    """One fault chosen by a seed per (p, N): a factor twisted by det,
+    dropped, or a weight added."""
+    rng = random.Random(p * 100003 + N)
+    kind, key = rng.choice(("twist", "drop", "add")), rng.choice(sorted(factors))
+    if kind == "twist":
+        _twist(p, factors, key)
+    elif kind == "drop":
+        del factors[key]
+    else:
+        extra = (rng.randrange(p - 1), rng.randrange(1, p + 1))
+        factors[extra] = factors.get(extra, 0) + 1
+
+
+def _plant_wrong_factor(monkeypatch, fault=_twist_least):
+    """Give the oracle a faulty decomposition: by default one factor
+    twisted by det, so the claimed dimensions still add up to N + 1."""
     correct = _decompose.__wrapped__
 
     def faulty(p, N):
         factors = dict(correct(p, N))
-        a, b = min(factors)
-        mult = factors.pop((a, b))
-        twisted = ((a + 1) % (p - 1), b)
-        factors[twisted] = factors.get(twisted, 0) + mult
+        fault(p, N, factors)
         return factors
 
     monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(faulty))
@@ -309,6 +333,57 @@ def test_brauer_failures_match_ring_reference(monkeypatch, p):
         for f in report.failures:
             assert len(f["residual"]) == n
             assert sum(f["residual"]) == 0  # the fault keeps dimensions
+
+
+def _halves_that_see(n, c, row):
+    """Which half of the certificate sees a nonzero row at class c: the
+    boundary terms, i.e. row minus row shifted by d, and the coset sums
+    mod gcd(d, n)."""
+    d = (c[0] - c[1]) % n
+    g = gcd(d, n)
+    boundary = any(row[x] != row[(x - d) % n] for x in range(n))
+    cosets = any(sum(row[x::g]) for x in range(g))
+    return boundary, cosets
+
+
+@pytest.mark.parametrize("fault", [_twist_least, _seeded_fault])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_failures_are_the_nonzero_dense_rows(monkeypatch, p, fault):
+    # a class fails iff its term-by-term residual is nonzero, and carries
+    # that residual; some failures are seen by one half of the test only,
+    # so neither half can be dropped
+    _plant_wrong_factor(monkeypatch, fault)
+    n = p * p - 1
+    seen = set()
+    for N in range(3 * p * p + 1):
+        factors = oracle._decompose(p, N)
+        expected = []
+        for c in p_regular_classes(p):
+            row = dense_residual(p, N, factors, c)
+            if any(row):
+                expected.append({"class": repr(c), "residual": row})
+                seen.add(_halves_that_see(n, c, row))
+        assert expected, (p, N)
+        assert verify_decomposition(p, N).failures == expected, (p, N)
+    halves = {(True, False), (False, True)}
+    if (p, fault) == (3, _twist_least):
+        halves = {(True, False)}  # det is trivial at the central classes of p = 3
+    assert halves <= seen, seen
+
+
+def test_verify_decomposition_at_huge_n(monkeypatch):
+    start = time.perf_counter()
+    assert verify_decomposition(5, 10**30).passed
+    assert time.perf_counter() - start < 1
+
+    _plant_wrong_factor(monkeypatch)
+    start = time.perf_counter()
+    failures = verify_decomposition(5, 10**30).failures
+    assert time.perf_counter() - start < 1
+    assert failures
+    for f in failures:
+        assert len(f["residual"]) == 24
+        assert sum(f["residual"]) == 0  # the fault keeps dimensions
 
 
 def test_brauer_sym_side_ignores_decompose(monkeypatch):
