@@ -8,7 +8,7 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
   recursion  the symmetric-power recursion identity for n in [1, p-1] and
              k in [1, 3p], plus the periodic relation on n in [-2p, 4p]
   brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
-             named explicitly, and only for p <= oracle.MAX_ORACLE_P
+             named explicitly
 
 The coverage of every check is a fixed function of p.  k <= 3p proves the
 recursion identity at every k: along k = k0 mod p+1 the Sym indices grow by
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
-from .oracle import MAX_ORACLE_P, k_min_search, verify_decomposition
+from .oracle import k_min_search, verify_decomposition
 from .recipes import bdj_weight_set, bm_set, k_cris, k_min_of_set, serre_k
 from .weights import SerreWeight, VirtualClass, is_odd_prime, k_min_closed, sym_class
 
@@ -169,10 +169,9 @@ def run_suite(
 
     `checks` is "all" (the four standard checks), one name, or a list of
     names from main/bm/kmin/recursion/brauer; "all" is not a name, so a
-    list containing it is rejected.  "brauer" must be requested
-    explicitly and its primes must not exceed MAX_ORACLE_P.  `jobs` above
-    os.cpu_count() runs as the core count.  Raises ValueError when no
-    primes or no checks are given.  Returns the aggregate
+    list containing it is rejected.  "brauer" runs only when named.
+    `jobs` above os.cpu_count() runs as the core count.  Raises ValueError
+    when no primes or no checks are given.  Returns the aggregate
     {"runs": [...], "pass": bool}; apart from the per-run "ms" field the
     aggregate depends only on (primes, checks).
     """
@@ -190,8 +189,6 @@ def run_suite(
             raise UnsupportedPrimeError("p = 2 is not supported; the recipes differ there")
         if not is_odd_prime(p):
             raise UnsupportedPrimeError(f"{p} is not an odd prime")
-        if "brauer" in names and p > MAX_ORACLE_P:
-            raise ValueError(f"brauer check capped at p <= {MAX_ORACLE_P}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once

@@ -1,10 +1,10 @@
 """References that oracle.verify_decomposition must agree with, one class
 at a time.
 
-The library decides, at each p-regular class, whether the multisets of
+The library decides whether, at every p-regular class, the multisets of
 lifted eigenvalue exponents of Sym^N and of its claimed factors are equal,
-from the boundaries of their arithmetic progressions.  This module keeps
-two definitions to compare it with, neither built on that test (the
+from two counts of their weights, one per torus.  This module keeps two
+definitions to compare it with, neither built on those counts (the
 characters use only the cyclotomic polynomials of serrewt.oracle):
 
   * dense_residual counts the exponents term by term, so a class must fail

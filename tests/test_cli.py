@@ -305,12 +305,14 @@ def test_verify_range_parses_inclusive(capsys):
     assert all(r[3] == "0" for r in rows)  # zero failures
 
 
-def test_verify_brauer_needs_explicit_and_capped(capsys):
+def test_verify_brauer_needs_explicit(capsys):
     code, out, _ = run(capsys, "verify", "-p", "3", "--checks", "brauer", "--format", "csv")
     assert code == 0
     assert out.strip().split(",")[1:3] == ["brauer", "28"]  # N = 0..3p^2
-    code, _, err = run(capsys, "verify", "-p", "37", "--checks", "brauer")
-    assert code == 2
+    # no prime cap: p = 37 is certified like any other
+    code, out, _ = run(capsys, "verify", "-p", "37", "--checks", "brauer", "--format", "csv")
+    assert code == 0
+    assert out.strip().split(",")[:4] == ["37", "brauer", "4108", "0"]
 
 
 def test_verify_unknown_check(capsys):
@@ -475,7 +477,6 @@ USAGE_ERRORS = {
     "verify-unknown-check": (None, ("verify", "-p", "5", "--checks", "nope")),
     "verify-jobs-zero": (None, ("verify", "-p", "3", "--jobs", "0")),
     "verify-jobs-env-not-int": ("x", ("verify", "-p", "3")),
-    "verify-brauer-above-cap": (None, ("verify", "-p", "37", "--checks", "brauer")),
     "verify-unknown-flag": (None, ("verify", "-p", "3", "--bogus")),
     "table-unwritable-out": (None, ("table", "-p", "3", "--out", "/nonexistent/dir/t.csv")),
 }

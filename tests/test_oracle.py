@@ -240,7 +240,7 @@ def test_verify_decomposition_examples(p, N):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_fast_path_agrees_with_ring_elements(p):
-    # the boundary certificate must agree with the per-class
+    # the torus-count certificate must agree with the per-class
     # CyclotomicElement reference in brauer_reference
     n = p * p - 1
     for N in range(0, 3 * p + 1):
@@ -335,40 +335,59 @@ def test_brauer_failures_match_ring_reference(monkeypatch, p):
             assert sum(f["residual"]) == 0  # the fault keeps dimensions
 
 
-def _halves_that_see(n, c, row):
-    """Which half of the certificate sees a nonzero row at class c: the
-    boundary terms, i.e. row minus row shifted by d, and the coset sums
-    mod gcd(d, n)."""
-    d = (c[0] - c[1]) % n
-    g = gcd(d, n)
-    boundary = any(row[x] != row[(x - d) % n] for x in range(n))
-    cosets = any(sum(row[x::g]) for x in range(g))
-    return boundary, cosets
+def _principal_series_swap(p, N, factors):
+    """Swap the constituents V(0, 2) + V(1, p-1) of one principal series
+    for those of another with the same central character: the characters
+    differ at split classes only."""
+    m = p - 1
+    pair = next(
+        ((a, b), ((a + b - 1) % m, p + 1 - b))
+        for a in range(m)
+        for b in range(1, p + 1)
+        if (2 * a + b - 1) % m == 1 and {(a, b), ((a + b - 1) % m, p + 1 - b)} != {(0, 2), (1, m)}
+    )
+    for key, delta in zip([(0, 2), (1, m), *pair], (1, 1, -1, -1)):
+        factors[key] = factors.get(key, 0) + delta
+
+
+def _failures_are_the_nonzero_dense_rows(monkeypatch, p, fault):
+    """Check every N <= 3p^2 under the fault: a class fails iff its
+    term-by-term residual is nonzero, and carries that residual.  Returns
+    which tori see a nonzero row at some N, as (split or central classes,
+    non-split classes) pairs."""
+    _plant_wrong_factor(monkeypatch, fault)
+    seen = set()
+    for N in range(3 * p * p + 1):
+        factors = oracle._decompose(p, N)
+        expected = []
+        tori = [False, False]
+        for c in p_regular_classes(p):
+            row = dense_residual(p, N, factors, c)
+            if any(row):
+                expected.append({"class": repr(c), "residual": row})
+                tori[c[0] % (p + 1) != 0] = True
+        assert expected, (p, N)
+        assert verify_decomposition(p, N).failures == expected, (p, N)
+        seen.add(tuple(tori))
+    return seen
 
 
 @pytest.mark.parametrize("fault", [_twist_least, _seeded_fault])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_failures_are_the_nonzero_dense_rows(monkeypatch, p, fault):
-    # a class fails iff its term-by-term residual is nonzero, and carries
-    # that residual; some failures are seen by one half of the test only,
-    # so neither half can be dropped
-    _plant_wrong_factor(monkeypatch, fault)
-    n = p * p - 1
-    seen = set()
-    for N in range(3 * p * p + 1):
-        factors = oracle._decompose(p, N)
-        expected = []
-        for c in p_regular_classes(p):
-            row = dense_residual(p, N, factors, c)
-            if any(row):
-                expected.append({"class": repr(c), "residual": row})
-                seen.add(_halves_that_see(n, c, row))
-        assert expected, (p, N)
-        assert verify_decomposition(p, N).failures == expected, (p, N)
-    halves = {(True, False), (False, True)}
-    if (p, fault) == (3, _twist_least):
-        halves = {(True, False)}  # det is trivial at the central classes of p = 3
-    assert halves <= seen, seen
+    seen = _failures_are_the_nonzero_dense_rows(monkeypatch, p, fault)
+    if p == 3:
+        # at p = 3 some N fail at non-split classes only, so the split
+        # count alone would pass them
+        assert (False, True) in seen, seen
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_principal_series_swap_is_seen_at_split_classes_only(monkeypatch, p):
+    # with the case above, each torus's count is needed: dropping either
+    # lets one of these faults pass
+    seen = _failures_are_the_nonzero_dense_rows(monkeypatch, p, _principal_series_swap)
+    assert seen == {(True, False)}, seen
 
 
 def test_verify_decomposition_at_huge_n(monkeypatch):
@@ -394,6 +413,22 @@ def test_brauer_sym_side_ignores_decompose(monkeypatch):
     for N in range(16):
         report = verify_decomposition(5, N)
         assert {f["class"] for f in report.failures} == classes, N
+
+
+def test_passing_n_visits_no_class(monkeypatch):
+    # a passing N is decided by the two torus counts alone; only a failing
+    # N walks the classes, at p^2 - 1 counts each
+    class Unwalkable:
+        def __len__(self):
+            return 47 * 46
+
+        def __iter__(self):
+            raise AssertionError("a passing N walked the classes")
+
+    monkeypatch.setattr(oracle, "p_regular_classes", lambda p: Unwalkable())
+    report = verify_decomposition(47, 3 * 47**2)
+    assert report.passed
+    assert report.classes_checked == 2162
 
 
 def test_verify_decomposition_rejects_negative():

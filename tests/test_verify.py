@@ -8,7 +8,6 @@ import pytest
 
 from serrewt import verify
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.oracle import MAX_ORACLE_P
 from serrewt.verify import ALL_CHECKS, expected_param_count, run_suite
 
 
@@ -118,14 +117,6 @@ def test_run_suite_brauer_explicit():
     agg = run_suite([3], ["brauer"])
     assert agg["pass"]
     assert agg["runs"][0]["params_checked"] == 28  # N = 0..3p^2
-
-
-def test_run_suite_brauer_respects_oracle_cap():
-    assert MAX_ORACLE_P == 31
-    with pytest.raises(ValueError, match="p <= 31"):
-        run_suite([37], ["brauer"])
-    with pytest.raises(ValueError):
-        run_suite([3, 37], ["main", "brauer"])
 
 
 class _CountingPool(verify.ProcessPoolExecutor):
