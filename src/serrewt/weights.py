@@ -28,6 +28,9 @@ Inside the library a weight at a known prime p is its pair (a, b): the
 cached decomposition and every VirtualClass are keyed by such pairs, and
 a SerreWeight is built only where a weight enters or leaves the library.
 A pair is checked where a caller hands it in, never again after that.
+Derived classes are built by _class, which takes ownership of a dict
+holding no zero value, uncopied; so decompose_sym and sym_class share the
+cached decomposition dict itself, and nothing mutates a stored dict.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -131,10 +134,11 @@ class VirtualClass:
 
     VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); p and
     every key, zero coefficients included, are checked (0 <= a <= p-2,
-    1 <= b <= p) or ValueError is raised.  Derived classes (arithmetic,
-    twist, decompose_sym, sym_class) are built by _class, unchecked.  Zero
-    coefficients are never stored.  Instances are immutable in intent;
-    arithmetic returns new objects.  Weights leave through items().
+    1 <= b <= p) or ValueError is raised, and coeffs is copied.  Derived
+    classes (arithmetic, twist, decompose_sym, sym_class) are built by
+    _class, unchecked and uncopied; decompose_sym and sym_class share the
+    cached decomposition dict.  No stored dict holds a zero or is ever
+    mutated.  Weights leave through items().
     """
 
     __slots__ = ("p", "_coeffs")
@@ -165,16 +169,23 @@ class VirtualClass:
         """True iff every coefficient is >= 0 (the class of an actual module)."""
         return all(c >= 0 for c in self._coeffs.values())
 
-    def __add__(self, other: "VirtualClass") -> "VirtualClass":
+    def _combine(self, other: "VirtualClass", sign: int) -> "VirtualClass":
+        """self + sign * other, from one copy of self's dict."""
         if self.p != other.p:
             raise ValueError("cannot add classes at different primes")
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
-            out[key] = out.get(key, 0) + c
+            if c := out.get(key, 0) + sign * c:
+                out[key] = c
+            else:
+                del out[key]
         return _class(self.p, out)
 
+    def __add__(self, other: "VirtualClass") -> "VirtualClass":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "VirtualClass") -> "VirtualClass":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "VirtualClass":
         return _class(self.p, {key: -c for key, c in self._coeffs.items()})
@@ -199,10 +210,11 @@ class VirtualClass:
         return f"VirtualClass(p={self.p}, {body})"
 
 
-def _class(p: int, coeffs: Mapping[Tuple[int, int], int]) -> VirtualClass:
-    """VirtualClass(p, coeffs) for keys that are weights at p by construction, unchecked."""
+def _class(p: int, coeffs: Dict[Tuple[int, int], int]) -> VirtualClass:
+    """VirtualClass(p, coeffs) for keys that are weights at p by construction,
+    unchecked; takes ownership of coeffs, which must hold no zero value."""
     out = object.__new__(VirtualClass)
-    out.p, out._coeffs = p, {key: c for key, c in coeffs.items() if c}
+    out.p, out._coeffs = p, coeffs
     return out
 
 
@@ -220,13 +232,17 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     # t < min(S, p-1), each step counted once per period it falls in.
     # Only additions occur, so the result is effective by construction.
     factors: Dict[Tuple[int, int], int] = {}
+    get = factors.get
     q = p - 1
     S = (N + 1) // (p + 1)
     reps, extra = divmod(S, q)
+    r = (N - 1) % q
     for t in range(min(S, q)):
-        n = ((N - t * (p + 1) - 1) % q) + 1
-        for key in ((t, n + 1), ((n + t) % q, p - n)):
-            factors[key] = factors.get(key, 0) + reps + (t < extra)
+        c, n = reps + (t < extra), (r - 2 * t) % q + 1
+        key = (t, n + 1)
+        factors[key] = get(key, 0) + c
+        key = ((n + t) % q, p - n)
+        factors[key] = get(key, 0) + c
     M = N - S * (p + 1)
     if M >= 0:
         key = (S % q, M + 1)
@@ -238,7 +254,10 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
 
 def _jh_sum(p: int, N: int, weights: Mapping[Tuple[int, int], int]) -> int:
     """sum(c * multiplicity of V(a, b) in Sym^N) over weights {(a, b): c}."""
-    return sum(_decompose(p, N).get(key, 0) * c for key, c in weights.items())
+    get, total = _decompose(p, N).get, 0
+    for key, c in weights.items():
+        total += get(key, 0) * c
+    return total
 
 
 def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
@@ -246,8 +265,8 @@ def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
     Every factor of Sym^N has central character N mod p-1, so only the k
     with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, their
     progressions merged lazily; an exhausted scan raises InternalInvariantError."""
-    residues = {(2 * a + b - 1) % (p - 1) for a, b in weights}
-    for k in heapq.merge(*(range(2, p * p + 1)[r::p - 1] for r in residues)):
+    ks = [range(2 + r, p * p + 1, p - 1) for r in {(2 * a + b - 1) % (p - 1) for a, b in weights}]
+    for k in ks[0] if len(ks) == 1 else heapq.merge(*ks):
         if _jh_sum(p, k - 2, weights) > 0:
             return k
     raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")

@@ -10,6 +10,7 @@ from serrewt.galois_params import (
     Irreducible,
     Reducible,
 )
+from serrewt.weights import VirtualClass
 
 TEST_PRIMES = [3, 5, 7, 11, 13]
 
@@ -30,3 +31,12 @@ def params(draw, primes=TEST_PRIMES):
     else:
         shape = draw(st.sampled_from([SHAPE_SPLIT, SHAPE_NONSPLIT]))
     return Reducible(p, m, r, shape, lam)
+
+
+@st.composite
+def classes(draw, primes=TEST_PRIMES):
+    """A random VirtualClass at one of the given primes, built by the checking
+    constructor from coefficients in [-3, 3], zeros included."""
+    p = draw(st.sampled_from(primes))
+    keys = st.tuples(st.integers(0, p - 2), st.integers(1, p))
+    return VirtualClass(p, draw(st.dictionaries(keys, st.integers(-3, 3), max_size=2 * p)))

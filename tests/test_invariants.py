@@ -58,6 +58,36 @@ def test_scans_never_reach_the_closed_form():
     assert sorted(name for name in seen if "k_min_closed" in defs[name]) == []
 
 
+def _is_coeffs(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_coeffs"
+
+
+def test_no_class_dict_is_changed_in_place():
+    # derived classes share dicts (decompose_sym and sym_class share the
+    # cached decomposition), so a stored _coeffs is only ever bound whole,
+    # and only where a class is built
+    mutators = {"update", "pop", "popitem", "clear", "setdefault"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        builders = [f for f in ast.walk(tree)
+                    if isinstance(f, ast.FunctionDef) and f.name in ("__init__", "_class")]
+        allowed = {id(t) for f in builders for n in ast.walk(f) if isinstance(n, ast.Assign)
+                   for target in n.targets for t in ast.walk(target) if _is_coeffs(t)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and _is_coeffs(node.value):
+                bad = not isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.AugAssign):
+                bad = any(_is_coeffs(n) for n in ast.walk(node.target))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                bad = node.func.attr in mutators and _is_coeffs(node.func.value)
+            else:
+                bad = _is_coeffs(node) and not isinstance(node.ctx, ast.Load) and id(node) not in allowed
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_breached_guard_raises_internal_invariant_error():
     with pytest.raises(InternalInvariantError):
         _poly_divmod((1, 2, 3), (1, 2))  # divisor is not monic

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrewt import weights
-from serrewt.errors import UnsupportedPrimeError
+from serrewt.errors import InternalInvariantError, UnsupportedPrimeError
+from serrewt.galois_params import enumerate_params
+from serrewt.recipes import _bm_weights
 from serrewt.verify import run_suite
 from serrewt.weights import (
     _MR_BOUND,
     SerreWeight,
     VirtualClass,
     _decompose,
+    _least_k,
     _miller_rabin,
     decompose_sym,
     is_odd_prime,
@@ -22,6 +25,7 @@ from serrewt.weights import (
 )
 
 from peeling_reference import decompose_affine, decompose_loop
+from strategies import classes
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -128,11 +132,24 @@ def test_virtual_class_rejects_mixed_primes():
     for key in ((4, 1), (0, 0), (0, 6)):
         with pytest.raises(ValueError):
             VirtualClass(5, {key: 1})
-    with pytest.raises(ValueError):
-        VirtualClass(5, {(0, 1): 1}) + VirtualClass(7, {(0, 1): 1})
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="^cannot add classes at different primes$"):
+            op(VirtualClass(5, {(0, 1): 1}), VirtualClass(7, {(0, 1): 1}))
     # a weight at another prime has coefficient 0
     assert VirtualClass(5, {(0, 1): 1}).coefficient(W(5, 0, 1)) == 1
     assert VirtualClass(5, {(0, 1): 1}).coefficient(W(7, 0, 1)) == 0
+
+
+@given(classes(), st.data(), st.integers(-50, 50))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_cancels_and_stores_no_zero(x, data, t):
+    y = data.draw(classes([x.p]))
+    assert x - y == x + (-y)
+    assert len(x - x) == 0 and len(x + (-x)) == 0
+    assert (x + y) - y == x and (x - y) + y == x
+    for r in (x + y, x - y, -x, x.twist(t), y - x):
+        assert 0 not in r._coeffs.values()
+        assert r == _checked(r)
 
 
 def test_virtual_class_json_ordering():
@@ -304,6 +321,22 @@ def test_derived_classes_equal_their_checked_rebuild(p):
             assert x == _checked(x), (p, N)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_shared_decompositions_are_never_mutated(p):
+    # decompose_sym and sym_class wrap the cached dict itself, uncopied, so
+    # no arithmetic on them nor any check may write into it
+    top = 3 * p * p
+    snapshot = {N: _decompose.__wrapped__(p, N) for N in range(top + 1)}
+    assert run_suite([p], ["main", "kmin", "recursion"])["pass"]
+    for N in range(-top, top + 1):
+        x, y = sym_class(p, N), sym_class(p, N - 1)
+        for r in (x + y, y + x, x - y, y - x, x + x, x - x, -x, x.twist(1)):
+            assert 0 not in r._coeffs.values()
+    for N in range(top + 1):
+        assert decompose_sym(p, N)._coeffs is _decompose(p, N)
+        assert _decompose(p, N) == snapshot[N], (p, N)
+
+
 def test_recursion_check_checks_one_weight_per_lemma_item(monkeypatch):
     # the lemma's V(n, p-n) is the only class it builds from caller pairs
     calls = []
@@ -353,3 +386,29 @@ def test_k_min_closed_range_and_congruence(p):
             assert k % (p - 1) == (2 * a + b + 1) % (p - 1)
             seen.add(k)
     assert min(seen) == 2
+
+
+# ---------------------------------------------------------------------------
+# the least-k scan against a plain scan of the full peeling loop
+
+
+def _reference_least_k(p, weights, loops):
+    for k in range(2, p * p + 1):
+        factors = loops[k - 2]
+        if sum(factors.get(key, 0) * c for key, c in weights.items()) > 0:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_least_k_matches_a_plain_scan(p):
+    loops = [decompose_loop(p, N) for N in range(p * p - 1)]
+    cases = [_bm_weights(param) for param in enumerate_params(p)]
+    cases += [{(a, b): 1} for a in range(p - 1) for b in range(1, p + 1)]
+    for weights in cases:
+        assert _least_k(p, weights) == _reference_least_k(p, weights, loops), (p, weights)
+
+
+def test_least_k_of_no_weights_breaches_an_invariant():
+    with pytest.raises(InternalInvariantError):
+        _least_k(5, {})
