@@ -392,10 +392,10 @@ def test_k_min_closed_range_and_congruence(p):
 # the least-k scan against a plain scan of the full peeling loop
 
 
-def _reference_least_k(p, weights, loops):
+def _reference_least_k(p, support, loops):
     for k in range(2, p * p + 1):
         factors = loops[k - 2]
-        if sum(factors.get(key, 0) * c for key, c in weights.items()) > 0:
+        if sum(factors.get(key, 0) * c for key, c in support.items()) > 0:
             return k
     return None
 
@@ -405,8 +405,8 @@ def test_least_k_matches_a_plain_scan(p):
     loops = [decompose_loop(p, N) for N in range(p * p - 1)]
     cases = [_bm_weights(param) for param in enumerate_params(p)]
     cases += [{(a, b): 1} for a in range(p - 1) for b in range(1, p + 1)]
-    for weights in cases:
-        assert _least_k(p, weights) == _reference_least_k(p, weights, loops), (p, weights)
+    for support in cases:
+        assert _least_k(p, support) == _reference_least_k(p, support, loops), (p, support)
 
 
 def test_least_k_of_no_weights_breaches_an_invariant():
