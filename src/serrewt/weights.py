@@ -232,17 +232,13 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     # t < min(S, p-1), each step counted once per period it falls in.
     # Only additions occur, so the result is effective by construction.
     factors: Dict[Tuple[int, int], int] = {}
-    get = factors.get
     q = p - 1
     S = (N + 1) // (p + 1)
     reps, extra = divmod(S, q)
-    r = (N - 1) % q
     for t in range(min(S, q)):
-        c, n = reps + (t < extra), (r - 2 * t) % q + 1
-        key = (t, n + 1)
-        factors[key] = get(key, 0) + c
-        key = ((n + t) % q, p - n)
-        factors[key] = get(key, 0) + c
+        n = ((N - t * (p + 1) - 1) % q) + 1
+        for key in ((t, n + 1), ((n + t) % q, p - n)):
+            factors[key] = factors.get(key, 0) + reps + (t < extra)
     M = N - S * (p + 1)
     if M >= 0:
         key = (S % q, M + 1)
@@ -265,8 +261,8 @@ def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
     Every factor of Sym^N has central character N mod p-1, so only the k
     with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, their
     progressions merged lazily; an exhausted scan raises InternalInvariantError."""
-    ks = [range(2 + r, p * p + 1, p - 1) for r in {(2 * a + b - 1) % (p - 1) for a, b in weights}]
-    for k in ks[0] if len(ks) == 1 else heapq.merge(*ks):
+    residues = {(2 * a + b - 1) % (p - 1) for a, b in weights}
+    for k in heapq.merge(*(range(2, p * p + 1)[r::p - 1] for r in residues)):
         if _jh_sum(p, k - 2, weights) > 0:
             return k
     raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")
