@@ -21,15 +21,31 @@ it; its range is left as it is.
 run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
 each (prime, check) item list once and cuts it into (check, p, items)
 slices; a check with at least 2 * jobs items gets up to `jobs` slices, a
-smaller one stays whole.  At jobs = 1 the slices run in-process, in order;
-at jobs > 1 all slices of the call go through one process pool.  Failures
-are put back in item order for each run, so the aggregate JSON (timing
-fields aside) is a pure function of (primes, checks), whatever the worker
-count.  A run's "ms" is the sum of its slices' evaluation times.  At
+smaller one stays whole.  At jobs = 1 the slices run in-process, in order,
+and each item list is built when the previous check has run; at jobs > 1
+all slices of the call are built first and go through one process pool.
+Failures are put back in item order for each run, so the aggregate JSON
+(timing fields aside) is a pure function of (primes, checks), whatever the
+worker count.  A run's "ms" is the sum of its slices' evaluation times.  At
 jobs = 1 that is the run's own time; at jobs > 1 it adds up time spent in
 several workers, so it is not the run's wall time and the runs' ms may sum
 to more than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
+
+What a process holds.  The decomposition cache (weights._decompose) keeps
+one prime's decompositions at a time.  _eval_slice empties it when it
+starts a slice at another prime than the last slice it ran, in-process at
+jobs = 1 and in each pool worker, and run_suite empties it once its
+in-process slices are done; no N is shared across primes, so nothing is
+recomputed.  Within a slice, after every p items, a cache holding more than
+p^2 + 4p decompositions is emptied; an item reads at most four, so a
+process never holds more than p^2 + 8p.  The scans of main and kmin read
+only N < p^2 and never reach that bound.  brauer reads each N once, so
+emptying costs it nothing.  recursion reads most N twice, 6p + 1 items
+apart, and recomputes those read once before an emptying: 30 % more
+decompositions at p = 29, 19 % at p = 47, 9 % at p = 101 and 7 % at
+p = 127.  functools.lru_cache cannot drop one entry, and a size-bounded one
+would thrash under the scans, so the bound empties the whole cache.
 """
 
 from __future__ import annotations
@@ -37,8 +53,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import k_min_search, verify_decomposition
@@ -121,6 +138,11 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
     }
 
 
+# a brauer failure entry keeps the residual rows of this many failing
+# classes, the first in class order, and counts all of them
+_BRAUER_ROWS = 3
+
+
 def _eval_brauer(p: int, N: int) -> Optional[Dict[str, object]]:
     report = verify_decomposition(p, N)
     if report.passed:
@@ -128,7 +150,8 @@ def _eval_brauer(p: int, N: int) -> Optional[Dict[str, object]]:
     return {
         "param": {"N": N},
         "expected": "character match on all classes",
-        "actual": report.failures,
+        "actual": report.failures[:_BRAUER_ROWS],
+        "classes_failed": len(report.failures),
     }
 
 
@@ -143,15 +166,35 @@ CHECKS = {
 }
 
 
+# the prime whose decompositions this process holds, None after a release
+_held_prime: Optional[int] = None
+
+
+def _release() -> None:
+    """Empty the decomposition cache, whatever weights._decompose is bound to now."""
+    global _held_prime
+    weights._decompose.cache_clear()
+    _held_prime = None
+
+
 def _eval_slice(args: Slice) -> Tuple[List[Dict[str, object]], float]:
-    """Worker entry: evaluate the items of a slice, in order.
+    """Worker entry: evaluate the items of a slice, in order, holding
+    only this prime's decompositions and at most p^2 + 8p of them.
 
     Returns the failures and the seconds the slice took.
     """
+    global _held_prime
     check, p, items = args
     start = time.perf_counter()
+    if p != _held_prime:
+        _release()
+        _held_prime = p
     ev = CHECKS[check][1]
-    failures = [f for f in (ev(p, item) for item in items) if f is not None]
+    failures: List[Dict[str, object]] = []
+    for lo in range(0, len(items), p):
+        failures += [f for f in (ev(p, item) for item in items[lo:lo + p]) if f is not None]
+        if weights._decompose.cache_info().currsize > p * p + 4 * p:
+            weights._decompose.cache_clear()
     return failures, time.perf_counter() - start
 
 
@@ -193,25 +236,30 @@ def run_suite(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once
     runs: List[Dict[str, object]] = []
-    tasks: List[Slice] = []
-    owner: List[int] = []  # index into runs of each task
-    for p in primes:
-        for name in names:
-            items = CHECKS[name][0](p)
-            n = len(items)
-            # fewer than 2 * jobs items stay one slice
-            chunk = -(-n // jobs) if n >= 2 * jobs else n
-            for lo in range(0, n, chunk):
-                tasks.append((name, p, items[lo:lo + chunk]))
-                owner.append(len(runs))
-            runs.append({"p": p, "check": name, "params_checked": n, "failures": [], "ms": 0})
+
+    def slices() -> Iterator[Tuple[int, Slice]]:
+        """Each slice with the index of its run in runs; an item list is
+        built when the previous one has been cut, so a jobs = 1 run holds
+        one check's items at a time."""
+        for p in primes:
+            for name in names:
+                items = CHECKS[name][0](p)
+                n = len(items)
+                # fewer than 2 * jobs items stay one slice
+                chunk = -(-n // jobs) if n >= 2 * jobs else n
+                runs.append({"p": p, "check": name, "params_checked": n, "failures": [], "ms": 0})
+                for lo in range(0, n, chunk):
+                    yield len(runs) - 1, (name, p, items[lo:lo + chunk])
+
     if jobs == 1:
-        results = map(_eval_slice, tasks)
+        results = [(idx, _eval_slice(task)) for idx, task in slices()]
+        _release()
     else:
+        owner, tasks = zip(*slices())
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_eval_slice, tasks))
+            results = list(zip(owner, pool.map(_eval_slice, tasks)))
     seconds = [0.0] * len(runs)
-    for idx, (failures, elapsed) in zip(owner, results):
+    for idx, (failures, elapsed) in results:
         runs[idx]["failures"] += failures
         seconds[idx] += elapsed
     for run, s in zip(runs, seconds):

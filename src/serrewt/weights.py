@@ -31,6 +31,10 @@ A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
 cached decomposition dict itself, and nothing mutates a stored dict.
+The cache, _decompose, has no size bound of its own: a cached dict stays
+until the cache is emptied, and a class built from it keeps it alive after
+that.  verify.run_suite empties the cache between primes and whenever it
+holds more than p^2 + 4p decompositions at p (see verify).
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -221,7 +225,8 @@ def _class(p: int, coeffs: Dict[Tuple[int, int], int]) -> VirtualClass:
 @lru_cache(maxsize=None)
 def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}, in O(p)
-    steps for every N; callers must not mutate."""
+    steps for every N; callers must not mutate.  An entry stays until
+    cache_clear() (see the module docstring)."""
     _require_odd_prime(p)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -232,17 +237,23 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     # t < min(S, p-1), each step counted once per period it falls in.
     # Only additions occur, so the result is effective by construction.
     factors: Dict[Tuple[int, int], int] = {}
+    get = factors.get
     q = p - 1
     S = (N + 1) // (p + 1)
     reps, extra = divmod(S, q)
+    count = reps + 1  # steps t < extra fall in one more period
     for t in range(min(S, q)):
+        if t == extra:
+            count = reps
         n = ((N - t * (p + 1) - 1) % q) + 1
-        for key in ((t, n + 1), ((n + t) % q, p - n)):
-            factors[key] = factors.get(key, 0) + reps + (t < extra)
+        key = (t, n + 1)
+        factors[key] = get(key, 0) + count
+        key = ((n + t) % q, p - n)
+        factors[key] = get(key, 0) + count
     M = N - S * (p + 1)
     if M >= 0:
         key = (S % q, M + 1)
-        factors[key] = factors.get(key, 0) + 1
+        factors[key] = get(key, 0) + 1
     if sum(c * b for (_, b), c in factors.items()) != N + 1:
         raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")
     return factors

@@ -2,7 +2,7 @@
 
 Each case plants one single-point fault by monkeypatching and requires
 run_suite over p in {3, 5, 7}, all five checks, single worker, to report
-failures in the check(s) named with it.  Each fault is a copy of the
+failures in exactly the check(s) named with it.  Each fault is a copy of the
 library's behaviour with one rule changed; the checks that catch it:
 
   * k_min_closed: the boundary a + b < p read as a + b <= p (kmin, main);
@@ -196,7 +196,7 @@ def test_mutant_is_killed(name, monkeypatch):
     install, expected = MUTANTS[name]
     install(monkeypatch)
     caught = _failing_checks()
-    assert expected <= caught, f"{name}: caught by {sorted(caught)}, expected {sorted(expected)}"
+    assert caught == expected, f"{name}: caught by {sorted(caught)}, expected {sorted(expected)}"
 
 
 def test_split_mu_fault_breaks_the_pin(monkeypatch):

@@ -303,12 +303,24 @@ def test_brauer_failure_names_its_class(monkeypatch, capsys):
     report = run_suite([3, 5], ["brauer"])
     assert report["pass"] is False
     assert all(run["failures"] for run in report["runs"])
+    # an entry keeps the rows of the first three failing classes, in class
+    # order, and counts every failing class
+    counts = set()
+    for run in report["runs"]:
+        p = run["p"]
+        for entry in run["failures"]:
+            full = verify_decomposition(p, entry["param"]["N"]).failures
+            assert entry["actual"] == full[:3]
+            assert entry["classes_failed"] == len(full)
+            counts.add(len(full))
+    assert max(counts) > 3  # some entries are cut
 
     # --jobs 1 keeps the run in this process, where the fault is planted
     code = cli.main(["verify", "-p", "3", "--checks", "brauer", "--jobs", "1", "--format", "json"])
     assert code == 1
-    entry = json.loads(capsys.readouterr().out)["runs"][0]["failures"][0]["actual"][0]
-    assert entry["class"] in {repr(c) for c in p_regular_classes(3)}
+    entry = json.loads(capsys.readouterr().out)["runs"][0]["failures"][0]
+    assert entry["actual"][0]["class"] in {repr(c) for c in p_regular_classes(3)}
+    assert entry["classes_failed"] >= len(entry["actual"])
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -3,12 +3,15 @@
 import copy
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from serrewt import verify
+from serrewt import verify, weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.verify import ALL_CHECKS, expected_param_count, run_suite
+
+from test_mutations import _patch_everywhere
 
 
 def _run(check, p):
@@ -180,3 +183,101 @@ def test_run_suite_builds_each_item_list_once(monkeypatch):
     parallel = run_suite([3, 5], "all", jobs=2)
     assert built == once
     assert _strip_ms(serial) == _strip_ms(parallel)
+
+
+def test_run_suite_builds_items_one_check_at_a_time(monkeypatch):
+    # at jobs=1 a check's item list is built after the previous check ran,
+    # so a run over many primes never holds all their item lists
+    log = []
+    for name, (items, ev) in list(verify.CHECKS.items()):
+        def built(p, name=name, items=items):
+            log.append(("build", name, p))
+            return items(p)
+
+        def evaluated(p, item, name=name, ev=ev):
+            if log[-1] != ("eval", name, p):
+                log.append(("eval", name, p))
+            return ev(p, item)
+        monkeypatch.setitem(verify.CHECKS, name, (built, evaluated))
+    run_suite([3, 5], ["kmin", "recursion"], jobs=1)
+    assert log == [(kind, name, p) for p in (3, 5) for name in ("kmin", "recursion")
+                   for kind in ("build", "eval")]
+
+
+# ---------------------------------------------------------------------------
+# what a process holds
+
+
+class _DecomposeSpy:
+    """A stand-in for weights._decompose with its cache interface.  At
+    every miss it records the primes of the other entries it holds, and the
+    most entries of one prime it has held at once."""
+
+    def __init__(self, core):
+        self.__wrapped__ = core
+        self.held = {}
+        self.per_prime = Counter()
+        self.hits = self.misses = 0
+        self.foreign = []  # (p, primes of other entries) at a miss
+        self.peak = Counter()
+        self.clears = 0
+
+    def __call__(self, p, N):
+        if (p, N) in self.held:
+            self.hits += 1
+            return self.held[p, N]
+        self.misses += 1
+        others = sorted(q for q, count in self.per_prime.items() if count and q != p)
+        if others:
+            self.foreign.append((p, others))
+        value = self.held[p, N] = self.__wrapped__(p, N)
+        self.per_prime[p] += 1
+        self.peak[p] = max(self.peak[p], self.per_prime[p])
+        return value
+
+    def cache_info(self):
+        return SimpleNamespace(hits=self.hits, misses=self.misses, maxsize=None,
+                               currsize=len(self.held))
+
+    def cache_clear(self):
+        self.held.clear()
+        self.per_prime.clear()
+        self.hits = self.misses = 0
+        self.clears += 1
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    spy = _DecomposeSpy(weights._decompose.__wrapped__)
+    _patch_everywhere(monkeypatch, weights._decompose, spy)
+    monkeypatch.setattr(verify, "_held_prime", None)  # restored afterwards
+    return spy
+
+
+def test_run_suite_holds_one_prime_at_a_time(spy):
+    spy(11, 200)  # a caller's decomposition at another prime
+    serial = run_suite([3, 5, 7], "all", jobs=1)
+    assert spy.foreign == []
+    assert set(spy.peak) == {3, 5, 7, 11}
+    assert spy.held == {}  # released once the run is done
+    assert serial["pass"]
+
+
+def test_worker_slices_release_on_a_prime_switch(spy):
+    # the slice sequence of one pool worker, run in-process
+    slices = [("kmin", 5, verify._kmin_items(5)[:10]),
+              ("recursion", 7, verify._recursion_items(7)[:30]),
+              ("recursion", 7, verify._recursion_items(7)[30:]),
+              ("main", 5, verify.enumerate_params(5)[:20])]
+    for task in slices:
+        assert verify._eval_slice(task)[0] == []
+    assert spy.foreign == []
+    assert spy.held and {p for p, _ in spy.held} == {5}
+    assert verify._held_prime == 5
+
+
+@pytest.mark.parametrize("p", [29, 47])
+def test_recursion_holds_at_most_p2_plus_8p(spy, p):
+    assert run_suite([p], ["recursion"])["pass"]
+    assert 0 < spy.peak[p] <= p * p + 8 * p
+    assert spy.clears >= 2  # the bound was reached, then enforced
