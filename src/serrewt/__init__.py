@@ -15,9 +15,7 @@ from .galois_params import (
     Reducible,
     enumerate_params,
     normalize_level2,
-    param_twist,
     parse_param,
-    serialize_param,
 )
 from .oracle import (
     k_min_search,
@@ -69,10 +67,8 @@ __all__ = [
     "mu_support",
     "normalize_level2",
     "p_regular_classes",
-    "param_twist",
     "parse_param",
     "run_suite",
-    "serialize_param",
     "serre_k",
     "sym_class",
     "verify_decomposition",

@@ -118,6 +118,13 @@ def normalize_level2(p: int, e: int) -> Tuple[int, int]:
     return a, b
 
 
+def _record(cls, *values):
+    """cls(*values) for fields valid by construction, unchecked."""
+    out = object.__new__(cls)
+    out.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return out
+
+
 def enumerate_params(p: int) -> List[InertialParam]:
     """All inertial parameters at p, in a fixed documented order.
 
@@ -126,35 +133,19 @@ def enumerate_params(p: int) -> List[InertialParam]:
     Split followed by the non-split entries (Peu then Tres at the cell
     ratio=1 / lambda_equal, a single generic non-split entry elsewhere).
     Totals: p(p-1)/2 irreducible and (p-1)(4(p-1)+1) reducible records.
+    p is tested once, and the records are built unchecked.
     """
     if not is_odd_prime(p):
         raise ParamError(f"p must be an odd prime, got {p}")
-    out: List[InertialParam] = []
-    for a in range(p - 1):
-        for b in range(a + 1, p):
-            out.append(Irreducible(p, a, b))
+    out: List[InertialParam] = [
+        _record(Irreducible, p, a, b) for a in range(p - 1) for b in range(a + 1, p)
+    ]
     for m in range(p - 1):
         for r in range(p - 1):
             for lam in (True, False):
-                out.append(Reducible(p, m, r, SHAPE_SPLIT, lam))
-                if r == 1 and lam:
-                    out.append(Reducible(p, m, r, SHAPE_PEU, lam))
-                    out.append(Reducible(p, m, r, SHAPE_TRES, lam))
-                else:
-                    out.append(Reducible(p, m, r, SHAPE_NONSPLIT, lam))
+                nonsplit = (SHAPE_PEU, SHAPE_TRES) if r == 1 and lam else (SHAPE_NONSPLIT,)
+                out += [_record(Reducible, p, m, r, shape, lam) for shape in (SHAPE_SPLIT, *nonsplit)]
     return out
-
-
-def param_twist(param: InertialParam, t: int) -> InertialParam:
-    """The parameter of omega^t (x) rho."""
-    p = param.p
-    if isinstance(param, Irreducible):
-        e = p * param.a + param.b + t * (p + 1)
-        a, b = normalize_level2(p, e)
-        return Irreducible(p, a, b)
-    return Reducible(
-        p, (param.twist + t) % (p - 1), param.ratio, param.shape, param.lambda_equal
-    )
 
 
 def param_to_dict(param: InertialParam) -> Dict[str, object]:
@@ -170,7 +161,12 @@ def param_to_dict(param: InertialParam) -> Dict[str, object]:
     }
 
 
-def param_from_dict(obj: object) -> InertialParam:
+def parse_param(text: str) -> InertialParam:
+    """Parse a parameter from its JSON text form, validating all invariants."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParamError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParamError(f"parameter record must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
@@ -196,17 +192,3 @@ def param_from_dict(obj: object) -> InertialParam:
     if not isinstance(lam, bool):
         raise ParamError("field 'lambda_equal' must be a boolean")
     return Reducible(want("p", int), want("twist", int), want("ratio", int), shape, lam)
-
-
-def parse_param(text: str) -> InertialParam:
-    """Parse a parameter from its JSON text form, validating all invariants."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParamError(f"invalid JSON: {exc}") from exc
-    return param_from_dict(obj)
-
-
-def serialize_param(param: InertialParam) -> str:
-    """JSON text form; parse_param(serialize_param(x)) == x."""
-    return json.dumps(param_to_dict(param))

@@ -16,6 +16,9 @@ The classical theorems assert serre_k = k_min_of_set = k_cris and
 bm_set = bdj_weight_set for every parameter; the verify module checks this
 exhaustively per prime.
 
+Inside the library W(rho) is the sorted (a, b) pairs _w_pairs and B(rho)
+the keys of _bm_weights; bdj_weight_set and bm_set build SerreWeights.
+
 Conventions used by serre_k.  For a split (semisimple) record the two
 inertia exponents are both reduced into [0, p-2] and the smaller one is the
 twist; the pair (0, 0) maps to weight p because weight 1 is excluded.  For
@@ -43,7 +46,7 @@ from .galois_params import (
     normalize_level2,
     param_to_dict,
 )
-from .weights import SerreWeight, _jh_sum, _least_k, k_min_closed
+from .weights import SerreWeight, _jh_sum, _k_min, _least_k
 
 WeightSet = Tuple[SerreWeight, ...]
 
@@ -94,8 +97,8 @@ def _weight_row(param: Reducible) -> List[Tuple[int, int]]:
     return [(0, bb)]
 
 
-def bdj_weight_set(param: InertialParam) -> WeightSet:
-    """The set W(rho) of Serre weights, canonically ordered by (a, b)."""
+def _w_pairs(param: InertialParam) -> Tuple[Tuple[int, int], ...]:
+    """W(rho) as its (a, b) pairs at param.p, sorted."""
     p = param.p
     if isinstance(param, Irreducible):
         s = param.b - param.a
@@ -104,16 +107,21 @@ def bdj_weight_set(param: InertialParam) -> WeightSet:
     else:
         base = _weight_row(param)
         t = param.twist
-    weights = sorted(SerreWeight(p, (a + t) % (p - 1), b) for a, b in base)
-    if len(set(weights)) != len(weights):
+    pairs = sorted(((a + t) % (p - 1), b) for a, b in base)
+    if len(set(pairs)) != len(pairs):
         raise InternalInvariantError(f"repeated weight in W(rho) for {param}")
-    return tuple(weights)
+    return tuple(pairs)
+
+
+def bdj_weight_set(param: InertialParam) -> WeightSet:
+    """The set W(rho) of Serre weights, canonically ordered by (a, b)."""
+    return tuple(SerreWeight(param.p, a, b) for a, b in _w_pairs(param))
 
 
 def k_min_of_set(param: InertialParam) -> int:
-    """min over W(rho) of k_min_closed; the least k with W(rho) meeting
-    the factors of Sym^(k-2)."""
-    return min(k_min_closed(w) for w in bdj_weight_set(param))
+    """min over W(rho) of _k_min; the least k with W(rho) meeting the
+    factors of Sym^(k-2)."""
+    return min(_k_min(param.p, a, b) for a, b in _w_pairs(param))
 
 
 def kisin_mu(param: InertialParam, n: int, m: int) -> int:
@@ -202,7 +210,7 @@ def _bm_weights(param: InertialParam) -> Dict[Tuple[int, int], int]:
 
 def bm_set(param: InertialParam) -> WeightSet:
     """B(rho) = { V(m, n+1) : mu_(n,m)(rho) > 0 }, ordered by (a, b)."""
-    return tuple(sorted(SerreWeight(param.p, a, b) for a, b in _bm_weights(param)))
+    return tuple(SerreWeight(param.p, a, b) for a, b in sorted(_bm_weights(param)))
 
 
 def bm_multiplicity(param: InertialParam, k: int) -> int:

@@ -3,12 +3,14 @@
 Each check is its item list at p plus an evaluator, one entry of CHECKS:
 
   main       serre_k = k_min_of_set = k_cris for every inertial parameter
-  bm         bm_set = bdj_weight_set for every inertial parameter
-  kmin       k_min_closed = k_min_search on the full (p-1) x p weight grid
+  bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter
+  kmin       _k_min = k_min_search on the full (p-1) x p weight grid
   recursion  the symmetric-power recursion identity for n in [1, p-1] and
              k in [1, 3p], plus the periodic relation on n in [-2p, 4p]
   brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
              named explicitly
+
+Weights are compared as pairs, and derived classes are built by _class.
 
 The coverage of every check is a fixed function of p.  k <= 3p proves the
 recursion identity at every k: along k = k0 mod p+1 the Sym indices grow by
@@ -59,8 +61,8 @@ from . import weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import k_min_search, verify_decomposition
-from .recipes import bdj_weight_set, bm_set, k_cris, k_min_of_set, serre_k
-from .weights import SerreWeight, VirtualClass, is_odd_prime, k_min_closed, sym_class
+from .recipes import _bm_weights, _w_pairs, k_cris, k_min_of_set, serre_k
+from .weights import SerreWeight, _class, _k_min, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
@@ -86,14 +88,14 @@ def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
 
 
 def _eval_bm(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
-    w = bdj_weight_set(param)
-    b = bm_set(param)
-    if w == b:
+    expected = _w_pairs(param)
+    actual = tuple(sorted(_bm_weights(param)))
+    if expected == actual:
         return None
     return {
         "param": param_to_dict(param),
-        "expected": [x.to_json_obj() for x in w],
-        "actual": [x.to_json_obj() for x in b],
+        "expected": [{"a": a, "b": b} for a, b in expected],
+        "actual": [{"a": a, "b": b} for a, b in actual],
     }
 
 
@@ -103,12 +105,11 @@ def _kmin_items(p: int) -> List[Tuple[int, int]]:
 
 def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
     a, b = item
-    w = SerreWeight(p, a, b)
-    closed = k_min_closed(w)
-    scanned = k_min_search(w)
+    closed = _k_min(p, a, b)
+    scanned = k_min_search(SerreWeight(p, a, b))
     if closed == scanned:
         return None
-    return {"param": w.to_json_obj(), "expected": closed, "actual": scanned}
+    return {"param": {"a": a, "b": b}, "expected": closed, "actual": scanned}
 
 
 def _recursion_items(p: int) -> List[Tuple[str, int, int]]:
@@ -123,7 +124,7 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
         lhs = sym_class(p, n + k * (p - 1))
         rhs = (
             sym_class(p, n)
-            + VirtualClass(p, {(n % (p - 1), p - n): 1})
+            + _class(p, {(n % (p - 1), p - n): 1})
             + sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
         )
     else:
@@ -196,11 +197,6 @@ def _eval_slice(args: Slice) -> Tuple[List[Dict[str, object]], float]:
         if weights._decompose.cache_info().currsize > p * p + 4 * p:
             weights._decompose.cache_clear()
     return failures, time.perf_counter() - start
-
-
-def expected_param_count(p: int) -> int:
-    """Enumeration size: p(p-1)/2 irreducible plus (p-1)(4(p-1)+1) reducible."""
-    return p * (p - 1) // 2 + (p - 1) * (4 * (p - 1) + 1)
 
 
 def run_suite(

@@ -22,19 +22,19 @@ the "Serre weights".  This module implements:
 
     to all integers n;
   * k_min_closed: the least k >= 2 such that a given weight occurs in
-    Sym^(k-2), in closed form.
+    Sym^(k-2), in closed form (_k_min at a pair).
 
-Inside the library a weight at a known prime p is its pair (a, b): the
-cached decomposition and every VirtualClass are keyed by such pairs, and
-a SerreWeight is built only where a weight enters or leaves the library.
+Inside weights, recipes and verify a weight at a known prime p is its pair
+(a, b), and a SerreWeight is built only by a caller, by a public function
+that hands weights out (VirtualClass.items, bdj_weight_set, bm_set) and
+for the public k_min_search in the kmin check.
 A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
 cached decomposition dict itself, and nothing mutates a stored dict.
-The cache, _decompose, has no size bound of its own: a cached dict stays
-until the cache is emptied, and a class built from it keeps it alive after
-that.  verify.run_suite empties the cache between primes and whenever it
-holds more than p^2 + 4p decompositions at p (see verify).
+The cache, _decompose, has no size bound of its own, and a class built
+from a cached dict keeps it alive after the cache is emptied; verify.run_suite
+empties it between primes and past p^2 + 4p decompositions at p.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -119,13 +119,6 @@ class SerreWeight:
         _require_odd_prime(self.p)
         _require_weight_range(self.p, self.a, self.b)
 
-    def central_character(self) -> int:
-        """Exponent c with scalars x acting by x^c, reduced mod p-1."""
-        return (2 * self.a + self.b - 1) % (self.p - 1)
-
-    def twist(self, t: int) -> "SerreWeight":
-        return SerreWeight(self.p, (self.a + t) % (self.p - 1), self.b)
-
     def to_json_obj(self) -> Dict[str, int]:
         return {"a": self.a, "b": self.b}
 
@@ -164,14 +157,6 @@ class VirtualClass:
 
     def __len__(self) -> int:
         return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    @property
-    def is_effective(self) -> bool:
-        """True iff every coefficient is >= 0 (the class of an actual module)."""
-        return all(c >= 0 for c in self._coeffs.values())
 
     def _combine(self, other: "VirtualClass", sign: int) -> "VirtualClass":
         """self + sign * other, from one copy of self's dict."""
@@ -305,13 +290,17 @@ def sym_class(p: int, N: int) -> VirtualClass:
     return _class(p, _decompose(p, N))
 
 
-def k_min_closed(w: SerreWeight) -> int:
-    """Least k >= 2 with w a Jordan-Holder factor of Sym^(k-2), closed form.
+def _k_min(p: int, a: int, b: int) -> int:
+    """Least k >= 2 with V(a, b) a Jordan-Holder factor of Sym^(k-2), closed form.
 
     Equals a(p+1) + b + 1 when a + b < p and (a+1)(p+1) + bp - p^2
     otherwise; always lies in [2, p^2 - 1] and is = 2a + b + 1 mod p-1.
     """
-    p, a, b = w.p, w.a, w.b
     if a + b < p:
         return a * (p + 1) + b + 1
     return (a + 1) * (p + 1) + b * p - p * p
+
+
+def k_min_closed(w: SerreWeight) -> int:
+    """The closed form _k_min at the weight w."""
+    return _k_min(w.p, w.a, w.b)

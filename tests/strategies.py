@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies, and the twists by a power of omega that
+the twist-equivariance tests compare the weight-set recipes under."""
 
 from hypothesis import strategies as st
 
@@ -9,10 +10,24 @@ from serrewt.galois_params import (
     SHAPE_TRES,
     Irreducible,
     Reducible,
+    normalize_level2,
 )
-from serrewt.weights import VirtualClass
+from serrewt.weights import SerreWeight, VirtualClass
 
 TEST_PRIMES = [3, 5, 7, 11, 13]
+
+
+def param_twist(param, t):
+    """The parameter of omega^t (x) rho."""
+    p = param.p
+    if isinstance(param, Irreducible):
+        return Irreducible(p, *normalize_level2(p, p * param.a + param.b + t * (p + 1)))
+    return Reducible(p, (param.twist + t) % (p - 1), param.ratio, param.shape, param.lambda_equal)
+
+
+def twist_weight(w, t):
+    """det^t (x) w."""
+    return SerreWeight(w.p, (w.a + t) % (w.p - 1), w.b)
 
 
 @st.composite

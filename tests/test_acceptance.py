@@ -16,12 +16,13 @@ from serrewt.galois_params import (
     SHAPE_TRES,
     Reducible,
     enumerate_params,
-    param_twist,
 )
 from serrewt.oracle import verify_decomposition
 from serrewt.recipes import bdj_weight_set, bm_set, k_cris, kisin_mu, serre_k
-from serrewt.verify import expected_param_count, run_suite
+from serrewt.verify import run_suite
 from serrewt.weights import SerreWeight, decompose_sym, k_min_closed, sym_class
+
+from strategies import param_twist, twist_weight
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 PRIMES_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -53,7 +54,7 @@ def test_criterion_1_main_theorem():
     )
     assert failures == 0
     assert counts[3] == 21 and counts[5] == 78
-    assert all(counts[p] == expected_param_count(p) for p in PRIMES_47)
+    assert all(counts[p] == p * (p - 1) // 2 + (p - 1) * (4 * (p - 1) + 1) for p in PRIMES_47)
     assert elapsed < 60.0
 
 
@@ -164,10 +165,10 @@ def test_criterion_7_structural_invariants():
             for t in (1, 2, p - 2):
                 tw = param_twist(q, t)
                 assert bdj_weight_set(tw) == tuple(
-                    sorted(w.twist(t) for w in bdj_weight_set(q))
+                    sorted(twist_weight(w, t) for w in bdj_weight_set(q))
                 )
                 assert bm_set(tw) == tuple(
-                    sorted(w.twist(t) for w in bm_set(q))
+                    sorted(twist_weight(w, t) for w in bm_set(q))
                 )
     # determinism of run_suite across worker counts
     def strip(agg):

@@ -16,7 +16,7 @@ import pytest
 
 from serrewt import cli
 from serrewt.cli import main
-from serrewt.galois_params import SHAPE_SPLIT, enumerate_params, serialize_param
+from serrewt.galois_params import SHAPE_SPLIT, enumerate_params, param_to_dict
 
 TRES5 = '{"p":5,"type":"reducible","twist":0,"ratio":1,"shape":"tres","lambda_equal":true}'
 EX23 = '{"p":5,"type":"reducible","twist":0,"ratio":1,"shape":"split","lambda_equal":false}'
@@ -242,7 +242,7 @@ def split_mu_tails():
             if getattr(param, "shape", None) == SHAPE_SPLIT and param.ratio == 0:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    assert main(["weights", serialize_param(param), "--format", "json"]) == 0
+                    assert main(["weights", json.dumps(param_to_dict(param)), "--format", "json"]) == 0
                 text = out.getvalue()
                 tails[(p, param.twist, param.lambda_equal)] = text[text.index('"mu_nonzero": '):]
     return tails

@@ -5,7 +5,8 @@ run_suite over p in {3, 5, 7}, all five checks, single worker, to report
 failures in exactly the check(s) named with it.  Each fault is a copy of the
 library's behaviour with one rule changed; the checks that catch it:
 
-  * k_min_closed: the boundary a + b < p read as a + b <= p (kmin, main);
+  * _k_min, the closed form behind k_min_closed: the boundary a + b < p
+    read as a + b <= p (kmin, main);
   * _weight_row: the p = 3 split row replaced by the p > 3 one (bm);
   * _weight_row: the split row at bb = p-2 replaced by the generic split
     row (bm);
@@ -32,13 +33,14 @@ today's values and would record a wrong value just as faithfully.  Proving
 the multiplicities needs a check of them against a second source.
 """
 
+import json
 import sys
 from functools import lru_cache
 
 import pytest
 
 from serrewt import galois_params, recipes, weights
-from serrewt.galois_params import SHAPE_PEU, SHAPE_SPLIT, SHAPE_TRES
+from serrewt.galois_params import SHAPE_PEU, SHAPE_SPLIT, SHAPE_TRES, param_to_dict, parse_param
 from serrewt.verify import CHECKS, run_suite
 
 from test_cli import SPLIT_MU_AT_P_MINUS_2, split_mu_tails
@@ -68,8 +70,7 @@ def _failing_checks():
 # the faults
 
 
-def _k_min_closed_boundary(w):
-    p, a, b = w.p, w.a, w.b
+def _k_min_closed_boundary(p, a, b):
     if a + b <= p:  # fault: was a + b < p
         return a * (p + 1) + b + 1
     return (a + 1) * (p + 1) + b * p - p * p
@@ -148,7 +149,7 @@ def _twist_unreduced(self, t):
 # name -> (install(monkeypatch), checks that must report failures)
 MUTANTS = {
     "k_min_closed_boundary": (
-        lambda mp: _patch_everywhere(mp, weights.k_min_closed, _k_min_closed_boundary),
+        lambda mp: _patch_everywhere(mp, weights._k_min, _k_min_closed_boundary),
         {"kmin", "main"},
     ),
     "weight_row_p3_split": (
@@ -197,6 +198,31 @@ def test_mutant_is_killed(name, monkeypatch):
     install(monkeypatch)
     caught = _failing_checks()
     assert caught == expected, f"{name}: caught by {sorted(caught)}, expected {sorted(expected)}"
+
+
+# the first failing bm entry at p = 3 under weight_row_p3_split, as the
+# checks wrote it when they compared SerreWeight tuples
+P3_SPLIT_BM_ENTRY = (
+    '{"param": {"p": 3, "type": "reducible", "twist": 0, "ratio": 1, "shape": "split", '
+    '"lambda_equal": true}, "expected": [{"a": 0, "b": 1}, {"a": 0, "b": 3}, {"a": 1, "b": 1}], '
+    '"actual": [{"a": 0, "b": 1}, {"a": 0, "b": 3}, {"a": 1, "b": 1}, {"a": 1, "b": 3}]}'
+)
+
+
+def test_bm_failure_entries_list_the_public_weight_sets(monkeypatch):
+    # bm compares pairs, but a failing entry still lists bdj_weight_set as
+    # expected and bm_set as actual, as SerreWeight JSON objects in (a, b) order
+    MUTANTS["weight_row_p3_split"][0](monkeypatch)
+    (run,) = run_suite([3], ["bm"])["runs"]
+    assert len(run["failures"]) == 4
+    assert json.dumps(run["failures"][0]) == P3_SPLIT_BM_ENTRY
+    for entry in run["failures"]:
+        q = parse_param(json.dumps(entry["param"]))
+        assert json.dumps(entry) == json.dumps({
+            "param": param_to_dict(q),
+            "expected": [w.to_json_obj() for w in recipes.bdj_weight_set(q)],
+            "actual": [w.to_json_obj() for w in recipes.bm_set(q)],
+        })
 
 
 def test_split_mu_fault_breaks_the_pin(monkeypatch):

@@ -14,7 +14,6 @@ from serrewt.galois_params import (
     Irreducible,
     Reducible,
     enumerate_params,
-    param_twist,
 )
 from serrewt.recipes import (
     bdj_weight_set,
@@ -29,7 +28,7 @@ from serrewt.recipes import (
 )
 from serrewt.weights import SerreWeight, _decompose, decompose_sym, k_min_closed
 
-from strategies import params
+from strategies import param_twist, params, twist_weight
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -163,7 +162,7 @@ def test_bdj_more_rows():
 @settings(max_examples=200, deadline=None)
 def test_bdj_twist_equivariance(x, t):
     twisted = bdj_weight_set(param_twist(x, t))
-    expected = tuple(sorted(w.twist(t) for w in bdj_weight_set(x)))
+    expected = tuple(sorted(twist_weight(w, t) for w in bdj_weight_set(x)))
     assert twisted == expected
 
 
@@ -300,7 +299,7 @@ def test_bm_set_tres(p):
 @settings(max_examples=150, deadline=None)
 def test_bm_twist_equivariance(x, t):
     twisted = bm_set(param_twist(x, t))
-    expected = tuple(sorted(w.twist(t) for w in bm_set(x)))
+    expected = tuple(sorted(twist_weight(w, t) for w in bm_set(x)))
     assert twisted == expected
 
 
@@ -383,6 +382,17 @@ def test_main_theorem_small_primes(p):
 def test_weight_sets_agree_small_primes(p):
     for q in enumerate_params(p):
         assert bdj_weight_set(q) == bm_set(q), q
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 47])
+def test_pair_forms_are_the_public_weight_sets(p):
+    # verify compares W(rho) and B(rho) as pairs; they are the pairs of the
+    # SerreWeights that bdj_weight_set and bm_set hand out, in their order
+    for q in enumerate_params(p):
+        w, b = bdj_weight_set(q), bm_set(q)
+        assert {x.p for x in w + b} == {p}
+        assert recipes._w_pairs(q) == tuple((x.a, x.b) for x in w)
+        assert tuple(sorted(recipes._bm_weights(q))) == tuple((x.a, x.b) for x in b)
 
 
 def test_weight_report_shape():

@@ -9,9 +9,14 @@ import pytest
 
 from serrewt import verify, weights
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.verify import ALL_CHECKS, expected_param_count, run_suite
+from serrewt.verify import ALL_CHECKS, run_suite
 
 from test_mutations import _patch_everywhere
+
+
+def _param_count(p):
+    """p(p-1)/2 irreducible plus (p-1)(4(p-1)+1) reducible records."""
+    return p * (p - 1) // 2 + (p - 1) * (4 * (p - 1) + 1)
 
 
 def _run(check, p):
@@ -37,7 +42,26 @@ def test_check_bm_equals_bdj():
     for p in (3, 5, 7):
         r = _run("bm", p)
         assert not r["failures"]
-        assert r["params_checked"] == expected_param_count(p)
+        assert r["params_checked"] == _param_count(p)
+
+
+def test_primality_tests_per_suite_are_bounded(monkeypatch):
+    # p is tested where it enters: run_suite, enumerate_params, a caller's
+    # SerreWeight; and, guarding caller input, _decompose on each cache miss
+    # and normalize_level2 on each call.  Derived records, weights and
+    # classes are not tested again (86,750 tests when they were).
+    calls = []
+    orig = weights.is_odd_prime
+
+    def spy(n):
+        calls.append(n)
+        return orig(n)
+
+    _patch_everywhere(monkeypatch, orig, spy)
+    weights._decompose.cache_clear()
+    assert run_suite([47], "all")["pass"]
+    assert set(calls) == {47}
+    assert len(calls) <= 16_000
 
 
 def test_check_kmin_formula_counts():
@@ -57,8 +81,7 @@ def test_check_recursion_lemma():
 
 def test_coverage_formula():
     for p in (3, 5, 7, 11):
-        assert _run("main", p)["params_checked"] == expected_param_count(p)
-        assert expected_param_count(p) == p * (p - 1) // 2 + (p - 1) * ((p - 1) * 4 + 1)
+        assert _run("main", p)["params_checked"] == _param_count(p)
 
 
 def test_report_json_shape():
