@@ -105,6 +105,11 @@ def normalize_level2(p: int, e: int) -> Tuple[int, int]:
     """
     if not is_odd_prime(p):
         raise ParamError(f"p must be an odd prime, got {p}")
+    return _normalize_level2(p, e)
+
+
+def _normalize_level2(p: int, e: int) -> Tuple[int, int]:
+    """normalize_level2 at a p known to be an odd prime, unchecked."""
     e %= p * p - 1
     if e % (p + 1) == 0:
         raise LevelOneError(f"exponent {e} is divisible by p+1 = {p + 1}")

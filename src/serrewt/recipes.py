@@ -43,7 +43,7 @@ from .galois_params import (
     InertialParam,
     Irreducible,
     Reducible,
-    normalize_level2,
+    _normalize_level2,
     param_to_dict,
 )
 from .weights import SerreWeight, _jh_sum, _k_min, _least_k
@@ -145,7 +145,7 @@ def kisin_mu(param: InertialParam, n: int, m: int) -> int:
         raise ValueError(f"m={m} outside [0, {p - 2}]")
     if isinstance(param, Irreducible):
         try:
-            ab = normalize_level2(p, m * (p + 1) + n + 1)
+            ab = _normalize_level2(p, m * (p + 1) + n + 1)
         except LevelOneError:
             return 0
         return 1 if ab == (param.a, param.b) else 0

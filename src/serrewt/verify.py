@@ -5,8 +5,8 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
   main       serre_k = k_min_of_set = k_cris for every inertial parameter
   bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter
   kmin       _k_min = k_min_search on the full (p-1) x p weight grid
-  recursion  the symmetric-power recursion identity for n in [1, p-1] and
-             k in [1, 3p], plus the periodic relation on n in [-2p, 4p]
+  recursion  the symmetric-power recursion identity for k in [1, 3p] and
+             n in [1, p-1], plus the periodic relation on n in [-2p, 4p]
   brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
              named explicitly
 
@@ -43,11 +43,15 @@ recomputed.  Within a slice, after every p items, a cache holding more than
 p^2 + 4p decompositions is emptied; an item reads at most four, so a
 process never holds more than p^2 + 8p.  The scans of main and kmin read
 only N < p^2 and never reach that bound.  brauer reads each N once, so
-emptying costs it nothing.  recursion reads most N twice, 6p + 1 items
-apart, and recomputes those read once before an emptying: 30 % more
-decompositions at p = 29, 19 % at p = 47, 9 % at p = 101 and 7 % at
-p = 127.  functools.lru_cache cannot drop one entry, and a size-bounded one
-would thrash under the scans, so the bound empties the whole cache.
+emptying costs it nothing.  recursion lists its lemma items k-major (k,
+then n), so the Sym index n + k(p-1) of a lemma item is read again as the
+twisted term of the lemma item p + 1 places later ((n+2, k+1) for
+n < p-2).  An emptying drops only what the last few items read: recursion
+alone makes 10 % more decompositions than it reads distinct N at p = 29,
+6 % at p = 47, 3 % at p = 101 and 2 % at p = 127, and a run of all four
+checks 22 % more at p = 13 and 10 % at p = 29.  functools.lru_cache cannot
+drop one entry, and a size-bounded one would thrash under the scans, so the
+bound empties the whole cache.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
 
 
 def _recursion_items(p: int) -> List[Tuple[str, int, int]]:
-    items = [("lemma", n, k) for n in range(1, p) for k in range(1, 3 * p + 1)]
+    items = [("lemma", n, k) for k in range(1, 3 * p + 1) for n in range(1, p)]
     items += [("periodic", n, 0) for n in range(-2 * p, 4 * p + 1)]
     return items
 

@@ -42,6 +42,10 @@ def test_normalize_level2_examples():
         normalize_level2(5, 6)
     with pytest.raises(LevelOneError):
         normalize_level2(5, 0)
+    # the public form checks p; kisin_mu's unchecked one sits behind it
+    for p in (2, 9, 1):
+        with pytest.raises(ParamError):
+            normalize_level2(p, 7)
 
 
 @given(p=st.sampled_from(PRIMES), e=st.integers(-3000, 3000))

@@ -15,7 +15,8 @@ library's behaviour with one rule changed; the checks that catch it:
   * _decompose: one factor of each Sym^N (N >= p-1) twisted by det,
     patched wherever the library holds it, i.e. in weights, recipes and
     oracle (recursion, main, kmin, brauer);
-  * normalize_level2: the exponent reduced modulo p^2 - 2, not p^2 - 1
+  * _normalize_level2, the unchecked normalization behind normalize_level2
+    that kisin_mu calls: the exponent reduced modulo p^2 - 2, not p^2 - 1
     (bm);
   * VirtualClass.twist: the exponent a + t left unreduced modulo p-1
     (recursion).  Derived classes are built without checking their keys,
@@ -176,8 +177,8 @@ MUTANTS = {
     ),
     "normalize_level2_off_by_one": (
         lambda mp: _patch_everywhere(
-            mp, galois_params.normalize_level2,
-            _normalize_level2_off_by_one(galois_params.normalize_level2),
+            mp, galois_params._normalize_level2,
+            _normalize_level2_off_by_one(galois_params._normalize_level2),
         ),
         {"bm"},
     ),

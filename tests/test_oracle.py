@@ -403,6 +403,36 @@ def test_principal_series_swap_is_seen_at_split_classes_only(monkeypatch, p):
     assert seen == {(True, False)}, seen
 
 
+def _planted_faults(p, N, factors):
+    """The correct factors and four faults, each seeded by (p, N): one
+    multiplicity moved by 1, a factor twisted by det, a factor's b
+    shifted, and a stray factor off Sym^N's central character N mod p-1."""
+    rng = random.Random(p * 100019 + N)
+    m = p - 1
+    key = rng.choice(sorted(factors))
+    moved, twisted, shifted, stray = (dict(factors) for _ in range(4))
+    moved[key] += rng.choice((1, -1))
+    _twist(p, twisted, key)
+    mult = shifted.pop(key)
+    shifted[key[0], key[1] % p + 1] = shifted.get((key[0], key[1] % p + 1), 0) + mult
+    a, b = next((a, b) for a in rng.sample(range(m), m) for b in range(1, p + 1)
+                if (2 * a + b - 1 - N) % m)
+    stray[a, b] = stray.get((a, b), 0) + 1
+    return [factors, moved, twisted, shifted, stray]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_run_length_decision_matches_dense_count(monkeypatch, p):
+    # the rows of runs pass an N iff every class's term-by-term residual
+    # is zero; only the correct factors pass
+    classes = p_regular_classes(p)
+    for N in range(3 * p * p + 1):
+        for i, claimed in enumerate(_planted_faults(p, N, _decompose(p, N))):
+            monkeypatch.setattr(oracle, "_decompose", lambda p, N: claimed)
+            dense = all(not any(dense_residual(p, N, claimed, c)) for c in classes)
+            assert verify_decomposition(p, N).passed == dense == (i == 0), (p, N, i)
+
+
 def test_verify_decomposition_at_huge_n(monkeypatch):
     start = time.perf_counter()
     assert verify_decomposition(5, 10**30).passed
@@ -429,8 +459,14 @@ def test_brauer_sym_side_ignores_decompose(monkeypatch):
 
 
 def test_passing_n_visits_no_class(monkeypatch):
-    # a passing N is decided by the two torus counts alone; only a failing
-    # N walks the classes, at p^2 - 1 counts each
+    # a passing N is decided by the rows of the two torus counts alone;
+    # only a failing N expands them to keyed counts and walks the classes,
+    # at p^2 - 1 counts each
+    def unbuildable(*args):
+        raise AssertionError("a passing N built the keyed counts")
+
+    monkeypatch.setattr(oracle, "_keyed_counts", unbuildable)
+
     class Unwalkable:
         def __len__(self):
             return 47 * 46

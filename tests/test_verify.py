@@ -48,8 +48,9 @@ def test_check_bm_equals_bdj():
 def test_primality_tests_per_suite_are_bounded(monkeypatch):
     # p is tested where it enters: run_suite, enumerate_params, a caller's
     # SerreWeight; and, guarding caller input, _decompose on each cache miss
-    # and normalize_level2 on each call.  Derived records, weights and
-    # classes are not tested again (86,750 tests when they were).
+    # and the public normalize_level2 on each call.  Derived records,
+    # weights and classes are not tested again (86,750 tests when they
+    # were), nor is p in kisin_mu's normalizations (15,818 when it was).
     calls = []
     orig = weights.is_odd_prime
 
@@ -61,7 +62,7 @@ def test_primality_tests_per_suite_are_bounded(monkeypatch):
     weights._decompose.cache_clear()
     assert run_suite([47], "all")["pass"]
     assert set(calls) == {47}
-    assert len(calls) <= 16_000
+    assert len(calls) <= 12_000
 
 
 def test_check_kmin_formula_counts():
@@ -244,12 +245,16 @@ class _DecomposeSpy:
         self.foreign = []  # (p, primes of other entries) at a miss
         self.peak = Counter()
         self.clears = 0
+        self.made = 0  # misses, across emptyings
+        self.read = set()  # every (p, N) looked up, across emptyings
 
     def __call__(self, p, N):
+        self.read.add((p, N))
         if (p, N) in self.held:
             self.hits += 1
             return self.held[p, N]
         self.misses += 1
+        self.made += 1
         others = sorted(q for q, count in self.per_prime.items() if count and q != p)
         if others:
             self.foreign.append((p, others))
@@ -304,3 +309,12 @@ def test_recursion_holds_at_most_p2_plus_8p(spy, p):
     assert run_suite([p], ["recursion"])["pass"]
     assert 0 < spy.peak[p] <= p * p + 8 * p
     assert spy.clears >= 2  # the bound was reached, then enforced
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_emptying_keeps_recomputation_small(spy, p):
+    # recursion's k-major order re-reads a lemma item's Sym index p + 1
+    # items later, so emptying at the p^2 + 4p bound rarely drops a live
+    # entry or the ones main and kmin left
+    assert run_suite([p], "all")["pass"]
+    assert spy.made <= 1.25 * len(spy.read), (spy.made, len(spy.read))
