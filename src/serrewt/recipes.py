@@ -17,7 +17,9 @@ bm_set = bdj_weight_set for every parameter; the verify module checks this
 exhaustively per prime.
 
 Inside the library W(rho) is the sorted (a, b) pairs _w_pairs and B(rho)
-the keys of _bm_weights; bdj_weight_set and bm_set build SerreWeights.
+the keys of _bm_weights; only the public bdj_weight_set and bm_set build
+SerreWeights.  weight_report, behind the weights and table commands, takes
+every output from one mu_support and one _w_pairs call.
 
 Conventions used by serre_k.  For a split (semisimple) record the two
 inertia exponents are both reduced into [0, p-2] and the smaller one is the
@@ -228,13 +230,17 @@ def k_cris(param: InertialParam) -> int:
 
 
 def weight_report(param: InertialParam) -> Dict[str, object]:
-    """All recipe outputs for one parameter, JSON-ready."""
+    """All recipe outputs for one parameter, JSON-ready, in one pass: one
+    mu_support gives k_cris (the _least_k scan), B and mu_nonzero, and one
+    _w_pairs gives k_min (the closed form _k_min) and W, all as pairs."""
+    p, support, w_pairs = param.p, mu_support(param), _w_pairs(param)
+    bm_weights = {(m, n + 1): mu for n, m, mu in support}
     return {
         "param": param_to_dict(param),
         "k_serre": serre_k(param),
-        "k_min": k_min_of_set(param),
-        "k_cris": k_cris(param),
-        "W": [w.to_json_obj() for w in bdj_weight_set(param)],
-        "B": [w.to_json_obj() for w in bm_set(param)],
-        "mu_nonzero": [{"n": n, "m": m, "mu": mu} for n, m, mu in mu_support(param)],
+        "k_min": min(_k_min(p, a, b) for a, b in w_pairs),
+        "k_cris": _least_k(p, bm_weights),
+        "W": [{"a": a, "b": b} for a, b in w_pairs],
+        "B": [{"a": a, "b": b} for a, b in sorted(bm_weights)],
+        "mu_nonzero": [{"n": n, "m": m, "mu": mu} for n, m, mu in support],
     }

@@ -25,7 +25,9 @@ each (prime, check) item list once and cuts it into (check, p, items)
 slices; a check with at least 2 * jobs items gets up to `jobs` slices, a
 smaller one stays whole.  At jobs = 1 the slices run in-process, in order,
 and each item list is built when the previous check has run; at jobs > 1
-all slices of the call are built first and go through one process pool.
+they go through one process pool, submitted lazily with at most 2 * jobs
+in flight, so a later item list is built only as earlier results are taken.
+The pool module, and multiprocessing with it, is imported only then.
 Failures are put back in item order for each run, so the aggregate JSON
 (timing fields aside) is a pure function of (primes, checks), whatever the
 worker count.  A run's "ms" is the sum of its slices' evaluation times.  At
@@ -58,7 +60,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import weights
@@ -255,9 +258,17 @@ def run_suite(
         results = [(idx, _eval_slice(task)) for idx, task in slices()]
         _release()
     else:
-        owner, tasks = zip(*slices())
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(zip(owner, pool.map(_eval_slice, tasks)))
+        from concurrent.futures import ProcessPoolExecutor
+
+        tasks = slices()
+        ahead = list(islice(tasks, 2 * jobs))  # fewer than jobs slices start fewer workers
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ahead))) as pool:
+            pending = deque((idx, pool.submit(_eval_slice, task)) for idx, task in ahead)
+            results = []
+            while pending:
+                idx, future = pending.popleft()
+                results.append((idx, future.result()))
+                pending.extend((i, pool.submit(_eval_slice, task)) for i, task in islice(tasks, 1))
     seconds = [0.0] * len(runs)
     for idx, (failures, elapsed) in results:
         runs[idx]["failures"] += failures

@@ -132,3 +132,12 @@ def test_verify_under_optimize_flag():
 def test_exit_codes_under_optimize_flag(argv, code):
     proc = _run_optimized(*argv)
     assert proc.returncode == code, proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    # only verify --jobs > 1 opens a pool; it imports the pool module there
+    code = ("import serrewt, serrewt.cli, sys; "
+            "assert not {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Tests for the three minimal-weight recipes and the two weight-set recipes."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from serrewt.galois_params import (
     Irreducible,
     Reducible,
     enumerate_params,
+    param_to_dict,
 )
 from serrewt.recipes import (
     bdj_weight_set,
@@ -400,3 +403,35 @@ def test_weight_report_shape():
     assert rep["k_serre"] == rep["k_min"] == rep["k_cris"] == 6
     assert rep["W"] == rep["B"] == [{"a": 0, "b": 5}]
     assert rep["mu_nonzero"] == [{"n": 4, "m": 0, "mu": 1}]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 47])
+def test_weight_report_equals_the_public_recipes(p):
+    for q in enumerate_params(p):
+        assert weight_report(q) == {
+            "param": param_to_dict(q),
+            "k_serre": serre_k(q),
+            "k_min": k_min_of_set(q),
+            "k_cris": k_cris(q),
+            "W": [w.to_json_obj() for w in bdj_weight_set(q)],
+            "B": [w.to_json_obj() for w in bm_set(q)],
+            "mu_nonzero": [{"n": n, "m": m, "mu": mu} for n, m, mu in mu_support(q)],
+        }
+
+
+def test_weight_report_is_one_pass(monkeypatch):
+    # one Breuil-Mezard support and one W(rho) per report, no SerreWeight
+    calls = Counter()
+    for name in ("mu_support", "_w_pairs"):
+        def spy(param, name=name, orig=getattr(recipes, name)):
+            calls[name] += 1
+            return orig(param)
+        monkeypatch.setattr(recipes, name, spy)
+    orig_init = SerreWeight.__post_init__
+
+    def counted_init(self):
+        calls["SerreWeight"] += 1
+        orig_init(self)
+    monkeypatch.setattr(SerreWeight, "__post_init__", counted_init)
+    reports = [weight_report(q) for q in enumerate_params(7)]
+    assert calls == {"mu_support": len(reports), "_w_pairs": len(reports)}

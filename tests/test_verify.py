@@ -1,5 +1,6 @@
 """Tests for the exhaustive per-prime checkers and the suite runner."""
 
+import concurrent.futures
 import copy
 import json
 from collections import Counter
@@ -146,7 +147,7 @@ def test_run_suite_brauer_explicit():
     assert agg["runs"][0]["params_checked"] == 28  # N = 0..3p^2
 
 
-class _CountingPool(verify.ProcessPoolExecutor):
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
     opened = 0
 
     def __init__(self, *args, **kwargs):
@@ -156,7 +157,7 @@ class _CountingPool(verify.ProcessPoolExecutor):
 
 def test_run_suite_opens_one_pool_per_call(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool even on one core
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "opened", 0)
     serial = run_suite([3, 5], "all", jobs=1)
     assert _CountingPool.opened == 0
@@ -166,10 +167,11 @@ def test_run_suite_opens_one_pool_per_call(monkeypatch):
 
 
 class _InProcessPool:
-    """Records the requested worker count and maps in this process, so no
-    process starts."""
+    """Records the requested worker count and runs a submitted slice in
+    this process when its result is taken, so no process starts."""
 
     max_workers = []
+    log = []  # ("result", check, p) as each slice's result is taken
 
     def __init__(self, max_workers):
         type(self).max_workers.append(max_workers)
@@ -180,17 +182,52 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, task):
+        def result():
+            type(self).log.append(("result", task[0], task[1]))
+            return fn(task)
+        return SimpleNamespace(result=result)
 
 
 def test_run_suite_caps_jobs_at_cpu_count(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "max_workers", [])
     many = run_suite([5], "all", jobs=64)
     assert _InProcessPool.max_workers == [2]
     assert _strip_ms(many) == _strip_ms(run_suite([5], "all", jobs=1))
+
+
+def test_run_suite_starts_no_idle_worker(monkeypatch):
+    # the pool asks for min(jobs, slices of the call) workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    for cores, checks, slices in ((16, ["kmin", "main"], 2), (4, ["kmin", "main"], 5), (4, ["kmin"], 1)):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda cores=cores: cores)
+        monkeypatch.setattr(_InProcessPool, "max_workers", [])
+        assert run_suite([3], checks, jobs=cores)["pass"]  # kmin 6 items, main 21
+        assert _InProcessPool.max_workers == [min(cores, slices)]
+
+
+def test_run_suite_builds_later_items_as_results_are_taken(monkeypatch):
+    # at jobs > 1 at most 2 * jobs slices are in flight, so the item list
+    # of a later prime waits for an earlier prime's first result
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "log", [])
+    items, ev = verify.CHECKS["kmin"]
+
+    def built(p):
+        _InProcessPool.log.append(("build", "kmin", p))
+        return items(p)
+    monkeypatch.setitem(verify.CHECKS, "kmin", (built, ev))
+    primes = [3, 5, 7, 11]
+    parallel = run_suite(primes, ["kmin"], jobs=2)  # two slices per prime
+    log = _InProcessPool.log
+    assert log[:4] == [("build", "kmin", 3), ("build", "kmin", 5),
+                       ("result", "kmin", 3), ("build", "kmin", 7)]
+    assert log.index(("build", "kmin", 11)) > log.index(("result", "kmin", 5))
+    assert [e for e in log if e[0] == "result"] == [("result", "kmin", p) for p in primes for _ in "ab"]
+    assert _strip_ms(parallel) == _strip_ms(run_suite(primes, ["kmin"], jobs=1))
 
 
 def test_run_suite_builds_each_item_list_once(monkeypatch):
