@@ -56,14 +56,14 @@ is one cyclic run of N + 1 cells in row N mod p-1 of each count, and
 V(a, b) x mult one run of b cells in row 2a + b - 1 mod p-1; each run is
 two or three entries of its row's difference array.  The (row, cell)
 pairs relabel the keys (x mod p-1, y mod p-1) and e one to one, so the
-rows decide exactly as the keyed counts do.  A correct decomposition
+rows decide exactly as the keyed counts would.  A correct decomposition
 keeps every factor on Sym^N's row; a factor with another central
 character lands in a row Sym^N leaves empty and is seen there.  Both
 counts stay needed, since some faults show on one torus only.  So a
 passing N costs O(p + #factors), for any N: about 0.02 ms per N at
 p = 13, 0.04 ms at p = 31 and 0.06 ms at p = 47 with decompositions
-cached (one core of a 2-vCPU x86 host).  Only a failing N expands its
-rows back to the keyed counts and walks the classes.
+cached (one core of a 2-vCPU x86 host).  Only a failing N walks the
+classes, reading the nonzero cells as the keys they relabel.
 """
 
 from __future__ import annotations
@@ -182,70 +182,49 @@ class DecompositionReport:
         return not self.failures
 
 
-def _add_run(rows: Dict[int, List[int]], size: int, row: int, start: int, length: int, w: int) -> None:
-    """Add w to `length` cyclically consecutive cells of a row of `size`
-    cells, from cell `start`, in the row's difference array; entry `size`
-    only absorbs the run's end."""
-    d = rows.get(row)
-    if d is None:
-        d = rows[row] = [0] * (size + 1)
-    turns, rest = divmod(length, size)
-    d[0] += w * turns
-    d[start] += w
-    end = start + rest
-    if end > size:
-        d[0] += w
-        end -= size
-    d[end] -= w
-
-
-def _cells(rows: Dict[int, List[int]]) -> Dict[int, List[int]]:
-    """Each row's cell counts, from its difference array."""
-    return {row: list(accumulate(d[:-1])) for row, d in rows.items()}
-
-
-def _keyed_counts(
-    p: int, split: Dict[int, List[int]], nonsplit: Dict[int, List[int]]
-) -> Tuple[Dict[Tuple[int, int], int], Dict[int, int]]:
-    """The nonzero cells as the keyed counts the classes read:
-    (x mod p-1, y mod p-1) on the split torus, e mod p^2 - 1 on the other."""
-    m = p - 1
-    return (
-        {(x, (c - x) % m): w for c, cells in split.items() for x, w in enumerate(cells) if w},
-        {c + m * k: w for c, cells in nonsplit.items() for k, w in enumerate(cells) if w},
-    )
-
-
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N) by the two torus counts above; a failure
     entry carries its class's p^2 - 1 counts of Sym^N minus the factors'."""
     factors = _decompose(p, N)  # checks p and N
     m, n = p - 1, p * p - 1
-    split: Dict[int, List[int]] = {}
+    split: Dict[int, List[int]] = {}  # row c: its difference array, then its cells
     nonsplit: Dict[int, List[int]] = {}
-
-    def add(x: int, y: int, length: int, w: int) -> None:
-        # the run (x - t, y + t), t < length, of weights on row x + y mod p-1
-        c = (x + y) % m
-        _add_run(split, m, c, (x - length + 1) % m, length, w)
-        _add_run(nonsplit, p + 1, c, ((x + p * y) % n - c) // m, length, w)
-
-    add(N, 0, N + 1, 1)  # Sym^N: (j, N - j), j <= N
-    for (a, b), mult in factors.items():
-        add(a + b - 1, a, b, -mult)
-    split_cells, nonsplit_cells = _cells(split), _cells(nonsplit)
+    # each family (x - t, y + t), t <= x - y, counted w times, Sym^N =
+    # (N - j, j) and then each factor V(a, b) x mult, is one run of x - y + 1
+    # cyclic cells of row c: from cell y on the split torus, from e = x + py's
+    # on the other; entry `size` of a difference array absorbs a run's end
+    families = [(N, 0, 1)] + [(a + b - 1, a, -mult) for (a, b), mult in factors.items()]
+    for rows, size in (split, m), (nonsplit, p + 1):
+        for x, y, w in families:
+            c = (x + y) % m
+            start = y % m if rows is split else ((x + p * y) % n - c) // m
+            d = rows.get(c)
+            if d is None:
+                d = rows[c] = [0] * (size + 1)
+            turns, rest = divmod(x - y + 1, size)
+            d[0] += w * turns
+            d[start] += w
+            end = start + rest
+            if end > size:
+                d[0] += w
+                end -= size
+            d[end] -= w
+    for rows in (split, nonsplit):
+        for c, d in rows.items():
+            rows[c] = list(accumulate(d[:-1]))
     classes = p_regular_classes(p)
     failures = []
-    if any(map(any, split_cells.values())) or any(map(any, nonsplit_cells.values())):
-        split_keys, nonsplit_keys = _keyed_counts(p, split_cells, nonsplit_cells)
+    if any(any(cells) for rows in (split, nonsplit) for cells in rows.values()):
         for i, i2 in classes:
+            # cell j of row c lifts to zeta^(ci + j(p-1)i) at a non-split
+            # class, as e = c + (p-1)j, and to zeta^(ci' + j(i - i')) at a
+            # split one, as (x, y) = (j, c - j), exact since p+1 divides i'
+            rows, ci, step = (nonsplit, i, m * i) if i % (p + 1) else (split, i2, i - i2)
             row = [0] * n
-            if i % (p + 1):
-                for e, w in nonsplit_keys.items():
-                    row[e * i % n] += w
-            else:
-                for (x, y), w in split_keys.items():
-                    row[(x * i + y * i2) % n] += w
+            for c, cells in rows.items():
+                for j, w in enumerate(cells):
+                    if w:
+                        row[(c * ci + j * step) % n] += w
             if any(row):
                 failures.append({"class": repr((i, i2)), "residual": row})
     return DecompositionReport(p, N, len(classes), failures)

@@ -3,7 +3,8 @@
 Each check is its item list at p plus an evaluator, one entry of CHECKS:
 
   main       serre_k = k_min_of_set = k_cris for every inertial parameter
-  bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter
+  bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter,
+             and the Fontaine-Laffaille bound mu_(n,m) <= 1 at n <= p-3
   kmin       _k_min = k_min_search on the full (p-1) x p weight grid
   recursion  the symmetric-power recursion identity for k in [1, 3p] and
              n in [1, p-1], plus the periodic relation on n in [-2p, 4p]
@@ -11,6 +12,10 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
              named explicitly
 
 Weights are compared as pairs, and derived classes are built by _class.
+The bm bound: for n <= p-3, Hodge-Tate weights (0, n+1) are in the
+Fontaine-Laffaille range, where the crystalline deformation ring is 0 or
+formally smooth (Fontaine-Laffaille 1982; Clozel-Harris-Taylor 2008, 2.4),
+and Sym^n = V(0, n+1), so mu_(n,0) <= 1, hence mu_(n,m) <= 1 by twisting.
 
 The coverage of every check is a fixed function of p.  k <= 3p proves the
 recursion identity at every k: along k = k0 mod p+1 the Sym indices grow by
@@ -68,7 +73,7 @@ from . import weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import k_min_search, verify_decomposition
-from .recipes import _bm_weights, _w_pairs, k_cris, k_min_of_set, serre_k
+from .recipes import _w_pairs, k_cris, k_min_of_set, mu_support, serre_k
 from .weights import SerreWeight, _class, _k_min, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
@@ -96,14 +101,18 @@ def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
 
 def _eval_bm(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
     expected = _w_pairs(param)
-    actual = tuple(sorted(_bm_weights(param)))
-    if expected == actual:
-        return None
-    return {
-        "param": param_to_dict(param),
-        "expected": [{"a": a, "b": b} for a, b in expected],
-        "actual": [{"a": a, "b": b} for a, b in actual],
-    }
+    support = mu_support(param)
+    actual = tuple(sorted([(m, n + 1) for n, m, _ in support]))
+    if expected != actual:
+        return {
+            "param": param_to_dict(param),
+            "expected": [{"a": a, "b": b} for a, b in expected],
+            "actual": [{"a": a, "b": b} for a, b in actual],
+        }
+    above = [{"n": n, "m": m, "mu": mu} for n, m, mu in support if mu > 1 and n <= p - 3]
+    if above:
+        return {"param": param_to_dict(param), "expected": "mu <= 1 at n <= p-3", "actual": above}
+    return None
 
 
 def _kmin_items(p: int) -> List[Tuple[int, int]]:

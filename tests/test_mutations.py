@@ -20,13 +20,16 @@ library's behaviour with one rule changed; the checks that catch it:
     (bm);
   * VirtualClass.twist: the exponent a + t left unreduced modulo p-1
     (recursion).  Derived classes are built without checking their keys,
-    so the fault is reported as failed items, not raised as ValueError.
+    so the fault is reported as failed items, not raised as ValueError;
+  * kisin_mu: every mu at n <= p-3 doubled (bm, by its Fontaine-Laffaille
+    bound mu <= 1 there; B(rho) and k_cris read only whether mu > 0).
 
-Kill rate: 8 of 9 planted faults are caught by the checks.  The ninth,
+Kill rate: 9 of 10 planted faults are caught by the checks.  The tenth,
 the split multiplicity `4 if lam else 2` in kisin_mu (n = p-2) changed to
-2, passes every check: only whether mu > 0 enters bm_set, and k_cris is
-the least k whose weighted Jordan-Holder sum is positive, so no check reads
-the size of a positive mu.  It is caught instead by the bytes pin of
+2, passes every check: only whether mu > 0 enters bm_set, k_cris is the
+least k whose weighted Jordan-Holder sum is positive, and the bound in bm
+stops at n = p-3, so no check reads the size of a positive mu at n = p-2.
+It is caught only by the bytes pin of
 `mu_nonzero` in `weights --format json` (tests/test_cli.py, every split
 parameter with n = p-2 in its support at p in {3, 5, 7}); the last test
 below asserts that.  The pin is a regression pin, not a proof: it records
@@ -137,6 +140,13 @@ def _kisin_mu_split_mult_2(orig):
     return fault
 
 
+def _kisin_mu_doubled_below_p_minus_2(orig):
+    def fault(param, n, m):
+        mu = orig(param, n, m)
+        return 2 * mu if n <= param.p - 3 else mu  # fault: mu doubled at n <= p-3
+    return fault
+
+
 def _normalize_level2_off_by_one(orig):
     def fault(p, e):
         return orig(p, e % (p * p - 2))  # fault: reduced modulo p^2 - 2, not p^2 - 1
@@ -174,6 +184,10 @@ MUTANTS = {
             mp, weights._decompose, lru_cache(maxsize=None)(_decompose_one_factor_twisted)
         ),
         {"recursion", "main", "kmin", "brauer"},
+    ),
+    "kisin_mu_doubled_below_p_minus_2": (
+        lambda mp: mp.setattr(recipes, "kisin_mu", _kisin_mu_doubled_below_p_minus_2(recipes.kisin_mu)),
+        {"bm"},
     ),
     "normalize_level2_off_by_one": (
         lambda mp: _patch_everywhere(
@@ -230,3 +244,14 @@ def test_split_mu_fault_breaks_the_pin(monkeypatch):
     monkeypatch.setattr(recipes, "kisin_mu", _kisin_mu_split_mult_2(recipes.kisin_mu))
     changed = {key for key, tail in split_mu_tails().items() if tail != SPLIT_MU_AT_P_MINUS_2[key]}
     assert changed == {key for key in SPLIT_MU_AT_P_MINUS_2 if key[2]}  # every lambda_equal one
+
+
+def test_bound_entry_lists_the_cells_above_it(monkeypatch):
+    # with W = B, a bm entry names the support cells with mu > 1 at n <= p-3
+    MUTANTS["kisin_mu_doubled_below_p_minus_2"][0](monkeypatch)
+    (run,) = run_suite([3], ["bm"])["runs"]
+    assert json.dumps(run["failures"][0]) == (
+        '{"param": {"p": 3, "type": "irreducible", "a": 0, "b": 1}, '
+        '"expected": "mu <= 1 at n <= p-3", "actual": [{"n": 0, "m": 0, "mu": 2}]}'
+    )
+    assert all(entry["expected"] == "mu <= 1 at n <= p-3" for entry in run["failures"])

@@ -1,5 +1,6 @@
 """Tests for the Brauer-character and scan oracles."""
 
+import hashlib
 import json
 import random
 import time
@@ -324,6 +325,38 @@ def test_brauer_failure_names_its_class(monkeypatch, capsys):
     assert entry["classes_failed"] >= len(entry["actual"])
 
 
+
+# sha256 of the entries under the default fault, recorded before the
+# torus counts were kept as one set of rows: at p = 13 of json.dumps of
+# each N's failures, N = 0..3p^2 in turn; at p = 47 of one N's failures;
+# and of run_suite([13], ["brauer"]) with its "ms" fields removed
+BRAUER_FAILURE_SHA256 = {
+    13: "1c7c04003e058343a30ae31ce57eb3451881d90bec5bf1a4739b392843df1e72",
+    (47, 0): "a4bceb1f768e0c33c6cd4bd5f3cb7f9207007f743dfcd17419fc2503808c7a91",
+    (47, 3000): "9210aecb180b05f6fa936e623a0708b6ecfd23ba1bd0e91e02cbf81235e5bdb6",
+    (47, 3 * 47**2): "bf8a03bec84ef0f3d8f79bbd42af822bdbf60a4421a503728e98e3543c837c90",
+    "run_suite": "9c4192aa70cf55ff8812ae11534f1f7d06941a78133639ec700e584a400f9c66",
+}
+
+
+def test_brauer_failure_bytes_are_pinned(monkeypatch):
+    # the dense reference covers p <= 11; this pins every failure entry at
+    # p = 13 and at spaced N at p = 47, byte for byte
+    _plant_wrong_factor(monkeypatch)
+    digest = hashlib.sha256()
+    for N in range(3 * 13**2 + 1):
+        digest.update(json.dumps(verify_decomposition(13, N).failures).encode())
+    got = {13: digest.hexdigest()}
+    for key in BRAUER_FAILURE_SHA256:
+        if isinstance(key, tuple):
+            got[key] = hashlib.sha256(json.dumps(verify_decomposition(*key).failures).encode()).hexdigest()
+    report = run_suite([13], ["brauer"])
+    for run in report["runs"]:
+        del run["ms"]
+    got["run_suite"] = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert got == BRAUER_FAILURE_SHA256
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_brauer_failures_match_ring_reference(monkeypatch, p):
     # a class fails iff its exponent multisets differ, which a differing
@@ -459,14 +492,9 @@ def test_brauer_sym_side_ignores_decompose(monkeypatch):
 
 
 def test_passing_n_visits_no_class(monkeypatch):
-    # a passing N is decided by the rows of the two torus counts alone;
-    # only a failing N expands them to keyed counts and walks the classes,
-    # at p^2 - 1 counts each
-    def unbuildable(*args):
-        raise AssertionError("a passing N built the keyed counts")
-
-    monkeypatch.setattr(oracle, "_keyed_counts", unbuildable)
-
+    # a passing N is decided by the cells of the two torus counts alone;
+    # only a failing N walks the classes, reading the nonzero cells into
+    # p^2 - 1 counts per class
     class Unwalkable:
         def __len__(self):
             return 47 * 46
