@@ -186,45 +186,49 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N) by the two torus counts above; a failure
     entry carries its class's p^2 - 1 counts of Sym^N minus the factors'."""
     factors = _decompose(p, N)  # checks p and N
-    m, n = p - 1, p * p - 1
-    split: Dict[int, List[int]] = {}  # row c: its difference array, then its cells
-    nonsplit: Dict[int, List[int]] = {}
-    # each family (x - t, y + t), t <= x - y, counted w times, Sym^N =
-    # (N - j, j) and then each factor V(a, b) x mult, is one run of x - y + 1
-    # cyclic cells of row c: from cell y on the split torus, from e = x + py's
-    # on the other; entry `size` of a difference array absorbs a run's end
-    families = [(N, 0, 1)] + [(a + b - 1, a, -mult) for (a, b), mult in factors.items()]
-    for rows, size in (split, m), (nonsplit, p + 1):
-        for x, y, w in families:
-            c = (x + y) % m
-            start = y % m if rows is split else ((x + p * y) % n - c) // m
-            d = rows.get(c)
-            if d is None:
-                d = rows[c] = [0] * (size + 1)
-            turns, rest = divmod(x - y + 1, size)
-            d[0] += w * turns
-            d[start] += w
-            end = start + rest
-            if end > size:
-                d[0] += w
-                end -= size
-            d[end] -= w
-    for rows in (split, nonsplit):
-        for c, d in rows.items():
-            rows[c] = list(accumulate(d[:-1]))
+    m, n, q = p - 1, p * p - 1, p + 1
+    rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: its split and non-split differences
+    # V(a, b) x mult, b >= 1, is one run of b cells of row c = 2a + b - 1 mod
+    # p-1 on each torus: from cell a mod p-1 on the split one, from cell
+    # a + k mod p+1, k = (2a + b - 1) // (p-1), on the other; Sym^N, from N
+    # alone, is the run of V(0, N + 1) counted -1 times
+    for (a, b), mult in [((0, N + 1), -1), *factors.items()]:
+        if b < 1:
+            continue  # no weights
+        k, c = divmod(2 * a + b - 1, m)
+        pair = rows.get(c)
+        if pair is None:
+            pair = rows[c] = [0] * m, [0] * q
+        d, e = pair
+        start = a % m
+        d[start] -= mult
+        end = start + b
+        if end >= m:
+            turns, end = divmod(end, m)
+            d[0] -= turns * mult
+        d[end] += mult
+        start = (a + k) % q
+        e[start] -= mult
+        end = start + b
+        if end >= q:
+            turns, end = divmod(end, q)
+            e[0] -= turns * mult
+        e[end] += mult
     classes = p_regular_classes(p)
     failures = []
-    if any(any(cells) for rows in (split, nonsplit) for cells in rows.values()):
+    # a row's cells are the prefix sums of its differences, all zero iff
+    # every difference is; only a failing N lists its nonzero cells
+    if any(any(d) or any(e) for d, e in rows.values()):
+        split = [(c, j, w) for c, (d, _) in rows.items() for j, w in enumerate(accumulate(d)) if w]
+        nonsplit = [(c, j, w) for c, (_, e) in rows.items() for j, w in enumerate(accumulate(e)) if w]
         for i, i2 in classes:
             # cell j of row c lifts to zeta^(ci + j(p-1)i) at a non-split
             # class, as e = c + (p-1)j, and to zeta^(ci' + j(i - i')) at a
             # split one, as (x, y) = (j, c - j), exact since p+1 divides i'
-            rows, ci, step = (nonsplit, i, m * i) if i % (p + 1) else (split, i2, i - i2)
+            cells, ci, step = (nonsplit, i, m * i) if i % q else (split, i2, i - i2)
             row = [0] * n
-            for c, cells in rows.items():
-                for j, w in enumerate(cells):
-                    if w:
-                        row[(c * ci + j * step) % n] += w
+            for c, j, w in cells:
+                row[(c * ci + j * step) % n] += w
             if any(row):
                 failures.append({"class": repr((i, i2)), "residual": row})
     return DecompositionReport(p, N, len(classes), failures)

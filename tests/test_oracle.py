@@ -5,6 +5,7 @@ import json
 import random
 import time
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -464,6 +465,79 @@ def test_run_length_decision_matches_dense_count(monkeypatch, p):
             monkeypatch.setattr(oracle, "_decompose", lambda p, N: claimed)
             dense = all(not any(dense_residual(p, N, claimed, c)) for c in classes)
             assert verify_decomposition(p, N).passed == dense == (i == 0), (p, N, i)
+
+
+def _out_of_range_claims(p, N, factors):
+    """Claimed dicts with keys outside 0 <= a < p-1, 1 <= b <= p, each
+    (claim, whether its characters are Sym^N's, or None if not fixed):
+    Sym^N as the one key (0, N + 1); a factor's a moved by +-(p-1), and to
+    p-1 from 0; weights counted with b <= 0, which have none; a factor
+    twisted by det without reducing a, which moves it off Sym^N's central
+    character; a factor's b raised to p+1 and to 2p."""
+    m = p - 1
+    key = min(factors)
+    top = max(factors)
+    out = [({(0, N + 1): 1}, True)]
+    for shift in (m, -m):
+        claim = dict(factors)
+        mult = claim.pop(key)
+        claim[key[0] + shift, key[1]] = mult
+        out.append((claim, True))
+    if (0, key[1]) in factors:
+        claim = dict(factors)
+        claim[m, key[1]] = claim.pop((0, key[1]))
+        out.append((claim, True))
+    out.append(({**factors, (0, 0): 5, (1, -1): 2, (m, -p): -3}, True))
+    twisted = dict(factors)
+    twisted[top[0] + 1, top[1]] = twisted.pop(top)
+    out.append((twisted, False))
+    for b in (p + 1, 2 * p):
+        claim = dict(factors)
+        mult = claim.pop(key)
+        claim[key[0], b] = claim.get((key[0], b), 0) + mult
+        out.append((claim, None))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_out_of_range_factors_match_the_dense_count(monkeypatch, p):
+    # the runs hold for any claimed dict: a key outside the weight range
+    # fails exactly the classes whose term-by-term residual is nonzero
+    classes = p_regular_classes(p)
+    decided = set()
+    for N in range(3 * p * p + 1):
+        for claimed, passes in _out_of_range_claims(p, N, _decompose(p, N)):
+            monkeypatch.setattr(oracle, "_decompose", lambda p, N: claimed)
+            expected = []
+            for c in classes:
+                row = dense_residual(p, N, claimed, c)
+                if any(row):
+                    expected.append({"class": repr(c), "residual": row})
+            assert verify_decomposition(p, N).failures == expected, (p, N, claimed)
+            assert passes in (None, not expected), (p, N, claimed)
+            decided.add(not expected)
+    assert decided == {True, False}
+
+
+def test_passing_n_accumulates_no_row(monkeypatch):
+    # a passing N is decided on the difference arrays; only a failing N
+    # sums them into cells
+    calls = []
+
+    def counting(d):
+        calls.append(len(d))
+        return accumulate(d)
+
+    monkeypatch.setattr(oracle, "accumulate", counting)
+    for N in range(3 * 13**2 + 1):
+        assert verify_decomposition(13, N).passed, N
+    assert calls == []
+
+    _plant_wrong_factor(monkeypatch)
+    for N in range(3 * 13**2 + 1):
+        del calls[:]
+        assert not verify_decomposition(13, N).passed, N
+        assert calls, N
 
 
 def test_verify_decomposition_at_huge_n(monkeypatch):
