@@ -47,23 +47,31 @@ e -> pe, and the centre of F_(p^2)^* gives the central rows: by Fourier
 inversion on (Z/(p-1))^2 and Z/n, every class passes iff both counts are
 zero.
 
-Both counts are kept as rows of runs.  Row c holds the weights with
-x + y = c mod p-1, the central character.  On the split torus (x, y) is
-cell x mod p-1 of its row; on the non-split torus e = x + py mod n has
-e = c mod p-1 and is cell (e - c)/(p-1), mod p+1, of row c.  Along
-(x - t, y + t) the split cell falls by 1 and e rises by p - 1, so Sym^N
-is one cyclic run of N + 1 cells in row N mod p-1 of each count, and
-V(a, b) x mult one run of b cells in row 2a + b - 1 mod p-1; each run is
-two or three entries of its row's difference array.  The (row, cell)
-pairs relabel the keys (x mod p-1, y mod p-1) and e one to one, so the
-rows decide exactly as the keyed counts would.  A correct decomposition
-keeps every factor on Sym^N's row; a factor with another central
-character lands in a row Sym^N leaves empty and is seen there.  Both
-counts stay needed, since some faults show on one torus only.  So a
-passing N costs O(p + #factors), for any N: about 0.02 ms per N at
-p = 13, 0.04 ms at p = 31 and 0.06 ms at p = 47 with decompositions
-cached (one core of a 2-vCPU x86 host).  Only a failing N walks the
-classes, reading the nonzero cells as the keys they relabel.
+Both counts are kept as rows of runs, filled in one pass over the
+factors.  Row c holds the weights with x + y = c mod p-1, the central
+character.  On the split torus (x, y) is cell x mod p-1 of its row; on
+the non-split torus e = x + py mod n has e = c mod p-1 and is cell
+(e - c)/(p-1), mod p+1, of row c.  Along (x - t, y + t) the split cell
+falls by 1 and e rises by p - 1, so V(a, b) x mult, (x, y) = (a + b - 1,
+a), is one cyclic run of b cells in row c = 2a + b - 1 mod p-1 of each
+count: from cell a mod p-1 on the split torus and from cell a + k mod
+p+1 on the other, as e = c + (p-1)(a + k) with k = (2a + b - 1) // (p-1).
+Sym^N's weights are V(0, N + 1)'s, so it is that run counted -1 times,
+built from N alone.  Each factor computes its row once and adds its run
+to both tori's difference arrays as two entries, plus its whole turns at
+cell 0; this holds for any key, and a key with b < 1 has no weights.  The
+(row, cell) pairs relabel the keys (x mod p-1, y mod p-1) and e one to
+one, so the rows decide exactly as the keyed counts would.  A correct
+decomposition keeps every factor on Sym^N's row; a factor with another
+central character lands in a row Sym^N leaves empty and is seen there.
+Both counts stay needed, since some faults show on one torus only.  A
+row's cells are the prefix sums of its differences, so every cell is zero
+iff every difference is, and a passing N is decided on the differences
+alone, at O(p + #factors) for any N: about 0.02 ms per N at p = 13,
+0.04 ms at p = 31 and 0.06 ms at p = 47 with decompositions cached (one
+core of a 2-vCPU x86 host).  Only a failing N sums its rows, lists their
+nonzero cells once, and walks the classes, each reading the cells of its
+torus as the keys they relabel.
 """
 
 from __future__ import annotations
@@ -188,10 +196,8 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
     factors = _decompose(p, N)  # checks p and N
     m, n, q = p - 1, p * p - 1, p + 1
     rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: its split and non-split differences
-    # V(a, b) x mult, b >= 1, is one run of b cells of row c = 2a + b - 1 mod
-    # p-1 on each torus: from cell a mod p-1 on the split one, from cell
-    # a + k mod p+1, k = (2a + b - 1) // (p-1), on the other; Sym^N, from N
-    # alone, is the run of V(0, N + 1) counted -1 times
+    # V(a, b) x mult: b cells of row c from split cell a and non-split cell
+    # a + k, whole turns at cell 0; Sym^N is V(0, N + 1) counted -1 times
     for (a, b), mult in [((0, N + 1), -1), *factors.items()]:
         if b < 1:
             continue  # no weights
