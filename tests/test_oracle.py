@@ -483,9 +483,9 @@ def _out_of_range_claims(p, N, factors):
         mult = claim.pop(key)
         claim[key[0] + shift, key[1]] = mult
         out.append((claim, True))
-    if (0, key[1]) in factors:
+    if key[0] == 0:
         claim = dict(factors)
-        claim[m, key[1]] = claim.pop((0, key[1]))
+        claim[m, key[1]] = claim.pop(key)
         out.append((claim, True))
     out.append(({**factors, (0, 0): 5, (1, -1): 2, (m, -p): -3}, True))
     twisted = dict(factors)
