@@ -5,7 +5,7 @@ Each check is its item list at p plus an evaluator, one entry of CHECKS:
   main       serre_k = k_min_of_set = k_cris for every inertial parameter
   bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter,
              and the Fontaine-Laffaille bound mu_(n,m) <= 1 at n <= p-3
-  kmin       _k_min = k_min_search on the full (p-1) x p weight grid
+  kmin       _k_min = k_min_search's scan on the full (p-1) x p weight grid
   recursion  the symmetric-power recursion identity for k in [1, 3p] and
              n in [1, p-1], plus the periodic relation on n in [-2p, 4p]
   brauer     oracle.verify_decomposition for N in [0, 3p^2]; only when
@@ -26,13 +26,14 @@ period of the periodic relation for p >= 7, so that check only samples
 it; its range is left as it is.
 
 run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
-each (prime, check) item list once and cuts it into (check, p, items)
-slices; a check with at least 2 * jobs items gets up to `jobs` slices, a
-smaller one stays whole.  At jobs = 1 the slices run in-process, in order,
-and each item list is built when the previous check has run; at jobs > 1
-they go through one process pool, submitted lazily with at most 2 * jobs
-in flight, so a later item list is built only as earlier results are taken.
-The pool module, and multiprocessing with it, is imported only then.
+each item list once per prime, main and bm sharing one, and cuts it into
+(check, p, items) slices; a check with at least 2 * jobs items gets up to
+`jobs` slices, a smaller one stays whole.  At jobs = 1 the slices run
+in-process, in order, and each item list is built when the previous check
+has run; at jobs > 1 they go through one process pool, submitted lazily
+with at most 2 * jobs in flight, so a later item list is built only as
+earlier results are taken.  The pool module, and multiprocessing with it,
+is imported only then.
 Failures are put back in item order for each run, so the aggregate JSON
 (timing fields aside) is a pure function of (primes, checks), whatever the
 worker count.  A run's "ms" is the sum of its slices' evaluation times.  At
@@ -41,12 +42,15 @@ several workers, so it is not the run's wall time and the runs' ms may sum
 to more than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
-What a process holds.  The decomposition cache (weights._decompose) keeps
-one prime's decompositions at a time.  _eval_slice empties it when it
-starts a slice at another prime than the last slice it ran, in-process at
-jobs = 1 and in each pool worker, and run_suite empties it once its
-in-process slices are done; no N is shared across primes, so nothing is
-recomputed.  Within a slice, after every p items, a cache holding more than
+What a process holds.  The decomposition cache (weights._decompose) and
+the scan dict (_scans) keep one prime's entries at a time.  _eval_slice
+empties both when it starts a slice at another prime than the last slice
+it ran, in-process at jobs = 1 and in each pool worker, and run_suite
+empties both once its in-process slices are done; nothing is shared across
+primes, so nothing is recomputed.  The scan dict holds the _least_k scan of
+each distinct weight dict, k_cris for main and {(a, b): 1} for kmin: 1,708
+scans at p = 29 where one per item made 4,382, and 4,462 at p = 47.
+Within a slice, after every p items, a cache holding more than
 p^2 + 4p decompositions is emptied; an item reads at most four, so a
 process never holds more than p^2 + 8p.  The scans of main and kmin read
 only N < p^2 and never reach that bound.  brauer reads each N once, so
@@ -72,14 +76,25 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
-from .oracle import k_min_search, verify_decomposition
-from .recipes import _w_pairs, k_cris, k_min_of_set, mu_support, serre_k
-from .weights import SerreWeight, _class, _k_min, is_odd_prime, sym_class
+from .oracle import verify_decomposition
+from .recipes import _bm_weights, _w_pairs, k_min_of_set, mu_support, serre_k
+from .weights import _class, _k_min, _least_k, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
 # (check, p, items): a run of consecutive items of one check at p
 Slice = Tuple[str, int, Sequence[object]]
+
+
+# (p, tuple(weights.items())) -> _least_k(p, weights), for one prime at a
+# time; main and kmin share it, and _release empties it
+_scans: Dict[Tuple[int, tuple], int] = {}
+
+
+def _scan(p: int, ws: Dict[Tuple[int, int], int]) -> int:
+    """_least_k(p, ws), scanned once per distinct weight dict at p."""
+    key = (p, tuple(ws.items()))
+    return _scans.get(key) or _scans.setdefault(key, _least_k(p, ws))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +104,7 @@ Slice = Tuple[str, int, Sequence[object]]
 def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
     ks = serre_k(param)
     km = k_min_of_set(param)
-    kc = k_cris(param)
+    kc = _scan(p, _bm_weights(param))
     if ks == km == kc:
         return None
     return {
@@ -122,7 +137,7 @@ def _kmin_items(p: int) -> List[Tuple[int, int]]:
 def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
     a, b = item
     closed = _k_min(p, a, b)
-    scanned = k_min_search(SerreWeight(p, a, b))
+    scanned = _scan(p, {item: 1})
     if closed == scanned:
         return None
     return {"param": {"a": a, "b": b}, "expected": closed, "actual": scanned}
@@ -138,10 +153,9 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
     kind, n, k = item
     if kind == "lemma":
         lhs = sym_class(p, n + k * (p - 1))
-        rhs = (
-            sym_class(p, n)
-            + _class(p, {(n % (p - 1), p - n): 1})
-            + sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
+        # _combine copies its left operand's dict and loops over its right one
+        rhs = sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1) + (
+            sym_class(p, n) + _class(p, {(n % (p - 1), p - n): 1})
         )
     else:
         lhs = sym_class(p, n + p - 1) - sym_class(p, n)
@@ -172,11 +186,14 @@ def _eval_brauer(p: int, N: int) -> Optional[Dict[str, object]]:
     }
 
 
-# name -> (items(p), evaluate(p, item)).  The enumerate_params lambdas look
-# the name up at call time, so a patched verify.enumerate_params applies.
+def _param_items(p: int) -> List[InertialParam]:
+    return enumerate_params(p)  # looked up at call time, so a patch applies
+
+
+# name -> (items(p), evaluate(p, item)); main and bm share one item function
 CHECKS = {
-    "main": (lambda p: enumerate_params(p), _eval_main),
-    "bm": (lambda p: enumerate_params(p), _eval_bm),
+    "main": (_param_items, _eval_main),
+    "bm": (_param_items, _eval_bm),
     "kmin": (_kmin_items, _eval_kmin),
     "recursion": (_recursion_items, _eval_recursion),
     "brauer": (lambda p: range(3 * p * p + 1), _eval_brauer),
@@ -188,9 +205,11 @@ _held_prime: Optional[int] = None
 
 
 def _release() -> None:
-    """Empty the decomposition cache, whatever weights._decompose is bound to now."""
+    """Empty the scan dict and the decomposition cache, whatever
+    weights._decompose is bound to now."""
     global _held_prime
     weights._decompose.cache_clear()
+    _scans.clear()
     _held_prime = None
 
 
@@ -251,11 +270,15 @@ def run_suite(
 
     def slices() -> Iterator[Tuple[int, Slice]]:
         """Each slice with the index of its run in runs; an item list is
-        built when the previous one has been cut, so a jobs = 1 run holds
-        one check's items at a time."""
+        built when the previous one has been cut, and kept only while a
+        later check at p reads the same list (bm after main)."""
         for p in primes:
-            for name in names:
-                items = CHECKS[name][0](p)
+            shared: Dict[object, Sequence[object]] = {}
+            for i, name in enumerate(names):
+                make = CHECKS[name][0]
+                items = shared.pop(make) if make in shared else make(p)
+                if make in [CHECKS[later][0] for later in names[i + 1:]]:
+                    shared[make] = items
                 n = len(items)
                 # fewer than 2 * jobs items stay one slice
                 chunk = -(-n // jobs) if n >= 2 * jobs else n
@@ -264,8 +287,10 @@ def run_suite(
                     yield len(runs) - 1, (name, p, items[lo:lo + chunk])
 
     if jobs == 1:
-        results = [(idx, _eval_slice(task)) for idx, task in slices()]
-        _release()
+        try:
+            results = [(idx, _eval_slice(task)) for idx, task in slices()]
+        finally:
+            _release()  # a run that raised leaves no scan behind either
     else:
         from concurrent.futures import ProcessPoolExecutor
 

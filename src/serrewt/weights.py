@@ -25,9 +25,8 @@ the "Serre weights".  This module implements:
     Sym^(k-2), in closed form (_k_min at a pair).
 
 Inside weights, recipes and verify a weight at a known prime p is its pair
-(a, b), and a SerreWeight is built only by a caller, by a public function
-that hands weights out (VirtualClass.items, bdj_weight_set, bm_set) and
-for the public k_min_search in the kmin check.
+(a, b), and a SerreWeight is built only by a caller or by a public function
+that hands weights out (VirtualClass.items, bdj_weight_set, bm_set).
 A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
@@ -42,7 +41,6 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
@@ -255,12 +253,17 @@ def _jh_sum(p: int, N: int, weights: Mapping[Tuple[int, int], int]) -> int:
 def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
     """Least k in [2, p^2] with _jh_sum(p, k-2, weights) > 0, all c > 0.
     Every factor of Sym^N has central character N mod p-1, so only the k
-    with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, their
-    progressions merged lazily; an exhausted scan raises InternalInvariantError."""
-    residues = {(2 * a + b - 1) % (p - 1) for a, b in weights}
-    for k in heapq.merge(*(range(2, p * p + 1)[r::p - 1] for r in residues)):
-        if _jh_sum(p, k - 2, weights) > 0:
-            return k
+    with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, in
+    increasing order: each block of p-1 values of k, then its residues in
+    order; an exhausted scan raises InternalInvariantError."""
+    residues = sorted({(2 * a + b - 1) % (p - 1) for a, b in weights})
+    for base in range(2, p * p + 1, p - 1):
+        for r in residues:
+            k = base + r
+            if k > p * p:
+                break
+            if _jh_sum(p, k - 2, weights) > 0:
+                return k
     raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")
 
 

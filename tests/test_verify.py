@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import hashlib
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from serrewt import verify, weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.verify import ALL_CHECKS, run_suite
 
-from test_mutations import _patch_everywhere
+from test_mutations import MUTANTS, _patch_everywhere
 
 
 def _param_count(p):
@@ -338,7 +339,45 @@ def test_worker_slices_release_on_a_prime_switch(spy):
         assert verify._eval_slice(task)[0] == []
     assert spy.foreign == []
     assert spy.held and {p for p, _ in spy.held} == {5}
+    assert verify._scans and {p for p, _ in verify._scans} == {5}
     assert verify._held_prime == 5
+    verify._release()
+
+
+@pytest.mark.parametrize("p", [5, 13, 29])
+def test_all_checks_equal_the_checks_run_alone(p):
+    # main and kmin share scans and main and bm share an item list, but a
+    # run of all four checks reports what each check reports alone
+    alone = [run_suite([p], [check])["runs"][0] for check in ALL_CHECKS]
+    assert _strip_ms(run_suite([p], "all")) == _strip_ms({"runs": alone, "pass": True})
+    assert verify._scans == {}
+
+
+def test_main_and_kmin_scan_each_weight_dict_once(monkeypatch):
+    # at p = 29 the 3,570 parameters have 1,680 distinct weight dicts, and
+    # 28 of kmin's 812 one-weight dicts are not among them: 4,382 scans
+    # when each item scanned its own
+    scans = Counter()
+    orig = verify._least_k
+
+    def counted(p, ws):
+        scans[p, tuple(ws.items())] += 1
+        return orig(p, ws)
+    monkeypatch.setattr(verify, "_least_k", counted)
+    assert run_suite([29], "all")["pass"]
+    assert 0 < sum(scans.values()) == len(scans) <= 1_708
+    assert verify._scans == {}
+
+
+def test_a_run_that_raises_leaves_no_scan(monkeypatch):
+    # a later run at the same prime, perhaps under other code, must not
+    # read the scans of one that stopped half-way
+    def broken(p, item):
+        raise RuntimeError("planted")
+    monkeypatch.setitem(verify.CHECKS, "kmin", (verify._kmin_items, broken))
+    with pytest.raises(RuntimeError):
+        run_suite([5], ["main", "kmin"])
+    assert verify._scans == {} and verify._held_prime is None
 
 
 @pytest.mark.parametrize("p", [29, 47])
@@ -355,3 +394,23 @@ def test_emptying_keeps_recomputation_small(spy, p):
     # entry or the ones main and kmin left
     assert run_suite([p], "all")["pass"]
     assert spy.made <= 1.25 * len(spy.read), (spy.made, len(spy.read))
+
+
+# sha256 of json.dumps(run_suite([5, 7], ["main", "kmin"])), "ms" fields
+# removed, under two planted faults, recorded before main and kmin shared
+# one scan per weight dict: a failure entry holds the k_cris and
+# k_min_search values that the scans found
+MAIN_KMIN_FAILURE_SHA256 = {
+    "decompose_one_factor": "0d5939c83270eed3356b8d2eb9cf4664af6427b3e18aa57318564d42bcaf8bbf",
+    "k_min_closed_boundary": "18667c8071c7e8153187ff1fbefdd1b1b07a03795f8b13d38e8d7aaf20affc0b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAIN_KMIN_FAILURE_SHA256))
+def test_main_kmin_failure_bytes_are_pinned(name, monkeypatch):
+    MUTANTS[name][0](monkeypatch)
+    report = run_suite([5, 7], ["main", "kmin"])
+    assert all(run["failures"] for run in report["runs"])
+    for run in report["runs"]:
+        del run["ms"]
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == MAIN_KMIN_FAILURE_SHA256[name]
