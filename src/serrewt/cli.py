@@ -10,6 +10,9 @@ Subcommands:
   table       one row per inertial parameter at a prime
 
 Common flags: --format {table|json|csv}, --out PATH; verify adds --jobs N.
+When the first argument names a command, that command's parser alone reads
+the rest; any other argv (none, -h, an unknown command, an option before
+the command) goes to the top-level parser.
 Exit codes: 0 success / all checks pass, 1 a verification check found
 counterexamples, 2 usage or schema errors (including p = 2 and I/O
 problems), 3 breached internal invariant.  The library is the only
@@ -33,7 +36,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantError, UnsupportedPrimeError
 from .galois_params import enumerate_params, parse_param
@@ -61,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--out", metavar="PATH", default=None)
@@ -105,7 +108,7 @@ def _build_parser() -> _Parser:
     t.set_defaults(run=_cmd_table)
     t.add_argument("-p", type=int, required=True)
 
-    return top
+    return top, sub.choices
 
 
 def _parse_prime_range(spec: Optional[str]) -> List[int]:
@@ -284,8 +287,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        top, commands = _build_parser()
+        parser = commands.get(argv[0]) if argv else None
+        args = top.parse_args(argv) if parser is None else parser.parse_args(argv[1:])
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -391,13 +391,18 @@ def test_output_deterministic(capsys):
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
-    # main builds its parser once; calls in sequence must give what each
-    # gives alone, on a freshly built parser
+    # main builds its parsers once; calls in sequence must give what each
+    # gives alone, on freshly built parsers, whichever parser reads them:
+    # a command's own or, for --help and an unknown command, the top one
     calls = [
         ("kmin", "-p", "5", "-a", "1", "-b", "2", "--search"),
+        ("--help",),
         ("kmin", "-p", "5", "-a", "1", "-b", "2"),
+        ("decompse", "-p", "5", "-N", "30"),
         ("kmin", "-p", "5", "-a", "1", "--bogus"),
+        ("--help",),
         ("decompose", "-p", "5", "-N", "30", "--format", "csv"),
+        ("decompse", "-p", "5", "-N", "30"),
     ]
     alone = []
     for argv in calls:
@@ -405,14 +410,15 @@ def test_parser_keeps_no_state_between_calls(capsys):
         alone.append(run(capsys, *argv))
     in_sequence = [run(capsys, *argv) for argv in calls]
     assert in_sequence == alone
-    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 2, 0, 0, 2]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
 # environment variables
 
 
-def test_max_p_env_sets_default_range(capsys, monkeypatch):
+def test_default_max_p_sets_the_default_range(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DEFAULT_MAX_P", 7)
     code, out, _ = run(capsys, "verify", "--checks", "bm", "--format", "csv")
     assert code == 0
@@ -491,6 +497,42 @@ def test_usage_error_is_one_stderr_line_and_exit_2(capsys, monkeypatch, case):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# case -> {"env", "argv", "code", "stdout", "stderr"}: the exit code, stdout
+# and stderr, byte for byte, of every USAGE_ERRORS case and of the argv
+# forms argparse treats specially: --format=json, -p5, an abbreviated flag,
+# a repeated flag, a -- separator, a negative value, a missing value, an
+# unknown command, no arguments, an option before the command and each
+# command's --help.  Recorded before main handed a command's arguments to
+# that command's parser alone.  "env" is SERREWT_JOBS or null.  Help is
+# formatted at 200 columns, where CPython 3.10 to 3.13 print the same bytes.
+USAGE_BYTES = json.loads((Path(__file__).parent / "cli_usage_bytes.json").read_text(encoding="utf-8"))
+
+
+def test_usage_bytes_cover_every_usage_error():
+    pinned = {case: (USAGE_BYTES[case]["env"], tuple(USAGE_BYTES[case]["argv"])) for case in USAGE_ERRORS}
+    assert pinned == USAGE_ERRORS
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_BYTES))
+def test_usage_bytes(capsys, monkeypatch, case):
+    pin = USAGE_BYTES[case]
+    monkeypatch.setenv("COLUMNS", "200")
+    if pin["env"] is None:
+        monkeypatch.delenv("SERREWT_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SERREWT_JOBS", pin["env"])
+    assert run(capsys, *pin["argv"]) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+def test_main_reads_sys_argv_when_argv_is_none(capsys, monkeypatch):
+    # the serrewt console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["serrewt", "kmin", "-p", "5", "-a", "1", "-b", "2"])
+    assert (main(), capsys.readouterr().out) == (0, "9\n")
+    monkeypatch.setattr(sys, "argv", ["serrewt"])
+    assert main() == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
 def test_help_exits_zero(capsys):
