@@ -71,7 +71,8 @@ alone, at O(p + #factors) for any N: about 0.011 ms per N at p = 13,
 0.022 ms at p = 31 and 0.027 ms at p = 47 with decompositions cached (one
 core of a 2-vCPU x86 host).  Only a failing N sums its rows, lists their
 nonzero cells once, and walks the classes, each reading the cells of its
-torus as the keys they relabel.
+torus as the keys they relabel; a passing N never lists the classes, so
+p_regular_classes's cache holds only primes with a failing N.
 """
 
 from __future__ import annotations
@@ -220,14 +221,13 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
             turns, end = divmod(end, q)
             dn[0] -= turns * mult
         dn[end] += mult
-    classes = p_regular_classes(p)
     failures = []
     # a row's cells are the prefix sums of its differences, all zero iff
     # every difference is; only a failing N lists its nonzero cells
     if any(any(ds) or any(dn) for ds, dn in rows.values()):
         split = [(c, j, w) for c, (d, _) in rows.items() for j, w in enumerate(accumulate(d)) if w]
         nonsplit = [(c, j, w) for c, (_, d) in rows.items() for j, w in enumerate(accumulate(d)) if w]
-        for i, i2 in classes:
+        for i, i2 in p_regular_classes(p):
             # cell j of row c lifts to zeta^(ci + j(p-1)i) at a non-split
             # class, as e = c + (p-1)j, and to zeta^(ci' + j(i - i')) at a
             # split one, as (x, y) = (j, c - j), exact since p+1 divides i'
@@ -237,9 +237,9 @@ def verify_decomposition(p: int, N: int) -> DecompositionReport:
                 row[(c * ci + j * step) % n] += w
             if any(row):
                 failures.append({"class": repr((i, i2)), "residual": row})
-    return DecompositionReport(p, N, len(classes), failures)
+    return DecompositionReport(p, N, p * (p - 1), failures)
 
 
 def k_min_search(w: SerreWeight) -> int:
     """Least k in [2, p^2] whose Sym^(k-2) contains w, by _least_k's scan at w.p."""
-    return _least_k(w.p, {(w.a, w.b): 1})
+    return _least_k(w.p, (((w.a, w.b), 1),))

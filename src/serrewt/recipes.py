@@ -17,7 +17,7 @@ bm_set = bdj_weight_set for every parameter; the verify module checks this
 exhaustively per prime.
 
 Inside the library W(rho) is the sorted (a, b) pairs _w_pairs and B(rho)
-the keys of _bm_weights; only the public bdj_weight_set and bm_set build
+the pairs of _bm_weights; only the public bdj_weight_set and bm_set build
 SerreWeights.  weight_report, behind the weights and table commands, takes
 every output from one mu_support and one _w_pairs call.
 
@@ -48,7 +48,7 @@ from .galois_params import (
     _normalize_level2,
     param_to_dict,
 )
-from .weights import SerreWeight, _jh_sum, _k_min, _least_k
+from .weights import SerreWeight, Weights, _jh_sum, _k_min, _least_k
 
 WeightSet = Tuple[SerreWeight, ...]
 
@@ -205,14 +205,14 @@ def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
     return [(n, m, mu) for n, m in _candidate_cells(param) if (mu := kisin_mu(param, n, m)) > 0]
 
 
-def _bm_weights(param: InertialParam) -> Dict[Tuple[int, int], int]:
-    """{(m, n+1): mu} over the Breuil-Mezard support of the parameter."""
-    return {(m, n + 1): mu for n, m, mu in mu_support(param)}
+def _bm_weights(param: InertialParam) -> Weights:
+    """((m, n+1), mu) over the Breuil-Mezard support, in mu_support order."""
+    return tuple(((m, n + 1), mu) for n, m, mu in mu_support(param))
 
 
 def bm_set(param: InertialParam) -> WeightSet:
     """B(rho) = { V(m, n+1) : mu_(n,m)(rho) > 0 }, ordered by (a, b)."""
-    return tuple(SerreWeight(param.p, a, b) for a, b in sorted(_bm_weights(param)))
+    return tuple(SerreWeight(param.p, a, b) for (a, b), _ in sorted(_bm_weights(param)))
 
 
 def bm_multiplicity(param: InertialParam, k: int) -> int:
@@ -234,13 +234,13 @@ def weight_report(param: InertialParam) -> Dict[str, object]:
     mu_support gives k_cris (the _least_k scan), B and mu_nonzero, and one
     _w_pairs gives k_min (the closed form _k_min) and W, all as pairs."""
     p, support, w_pairs = param.p, mu_support(param), _w_pairs(param)
-    bm_weights = {(m, n + 1): mu for n, m, mu in support}
+    bm_weights = tuple(((m, n + 1), mu) for n, m, mu in support)
     return {
         "param": param_to_dict(param),
         "k_serre": serre_k(param),
         "k_min": min(_k_min(p, a, b) for a, b in w_pairs),
         "k_cris": _least_k(p, bm_weights),
         "W": [{"a": a, "b": b} for a, b in w_pairs],
-        "B": [{"a": a, "b": b} for a, b in sorted(bm_weights)],
+        "B": [{"a": a, "b": b} for (a, b), _ in sorted(bm_weights)],
         "mu_nonzero": [{"n": n, "m": m, "mu": mu} for n, m, mu in support],
     }

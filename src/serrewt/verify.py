@@ -43,13 +43,14 @@ to more than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
 What a process holds.  The decomposition cache (weights._decompose) and
-the scan dict (_scans) keep one prime's entries at a time.  _eval_slice
-empties both when it starts a slice at another prime than the last slice
-it ran, in-process at jobs = 1 and in each pool worker, and run_suite
-empties both once its in-process slices are done; nothing is shared across
-primes, so nothing is recomputed.  The scan dict holds the _least_k scan of
-each distinct weight dict, k_cris for main and {(a, b): 1} for kmin: 1,708
-scans at p = 29 where one per item made 4,382, and 4,462 at p = 47.
+the scan memo (weights._least_k) keep one prime's entries at a time.
+_eval_slice empties both when it starts a slice at another prime than the
+last slice it ran, in-process at jobs = 1 and in each pool worker, and
+run_suite empties both once its in-process slices are done; nothing is
+shared across primes, so nothing is recomputed.  main's k_cris and kmin's
+scan of ((a, b), 1) read the one memo, so each distinct weight tuple is
+scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
+4,462 at p = 47.
 Within a slice, after every p items, a cache holding more than
 p^2 + 4p decompositions is emptied; an item reads at most four, so a
 process never holds more than p^2 + 8p.  The scans of main and kmin read
@@ -77,7 +78,7 @@ from . import weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
-from .recipes import _bm_weights, _w_pairs, k_min_of_set, mu_support, serre_k
+from .recipes import _w_pairs, k_cris, k_min_of_set, mu_support, serre_k
 from .weights import _class, _k_min, _least_k, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
@@ -86,25 +87,12 @@ ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 Slice = Tuple[str, int, Sequence[object]]
 
 
-# (p, tuple(weights.items())) -> _least_k(p, weights), for one prime at a
-# time; main and kmin share it, and _release empties it
-_scans: Dict[Tuple[int, tuple], int] = {}
-
-
-def _scan(p: int, ws: Dict[Tuple[int, int], int]) -> int:
-    """_least_k(p, ws), scanned once per distinct weight dict at p."""
-    key = (p, tuple(ws.items()))
-    return _scans.get(key) or _scans.setdefault(key, _least_k(p, ws))
-
-
 # ---------------------------------------------------------------------------
 # check definitions: items(p) plus eval(p, item) -> failure | None
 
 
 def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
-    ks = serre_k(param)
-    km = k_min_of_set(param)
-    kc = _scan(p, _bm_weights(param))
+    ks, km, kc = serre_k(param), k_min_of_set(param), k_cris(param)
     if ks == km == kc:
         return None
     return {
@@ -137,7 +125,7 @@ def _kmin_items(p: int) -> List[Tuple[int, int]]:
 def _eval_kmin(p: int, item: Tuple[int, int]) -> Optional[Dict[str, object]]:
     a, b = item
     closed = _k_min(p, a, b)
-    scanned = _scan(p, {item: 1})
+    scanned = _least_k(p, ((item, 1),))
     if closed == scanned:
         return None
     return {"param": {"a": a, "b": b}, "expected": closed, "actual": scanned}
@@ -205,11 +193,11 @@ _held_prime: Optional[int] = None
 
 
 def _release() -> None:
-    """Empty the scan dict and the decomposition cache, whatever
-    weights._decompose is bound to now."""
+    """Empty the scan memo and the decomposition cache, whatever
+    weights._least_k and weights._decompose are bound to now."""
     global _held_prime
     weights._decompose.cache_clear()
-    _scans.clear()
+    weights._least_k.cache_clear()
     _held_prime = None
 
 

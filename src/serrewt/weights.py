@@ -31,9 +31,11 @@ A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
 cached decomposition dict itself, and nothing mutates a stored dict.
-The cache, _decompose, has no size bound of its own, and a class built
-from a cached dict keeps it alive after the cache is emptied; verify.run_suite
-empties it between primes and past p^2 + 4p decompositions at p.
+Two unbounded caches live here: _decompose, and _least_k, the memo of the
+scans behind k_cris and k_min_search.  verify.run_suite empties both at its
+first slice, between primes and when it is done, and _decompose alone past
+p^2 + 4p decompositions at p; a class built from a cached dict keeps it
+alive after the cache is emptied.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -242,21 +244,27 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     return factors
 
 
-def _jh_sum(p: int, N: int, weights: Mapping[Tuple[int, int], int]) -> int:
-    """sum(c * multiplicity of V(a, b) in Sym^N) over weights {(a, b): c}."""
+Weights = Tuple[Tuple[Tuple[int, int], int], ...]  # ((a, b), c), ... in mu_support order
+
+
+def _jh_sum(p: int, N: int, weights: Weights) -> int:
+    """sum(c * multiplicity of V(a, b) in Sym^N) over weights ((a, b), c)."""
     get, total = _decompose(p, N).get, 0
-    for key, c in weights.items():
+    for key, c in weights:
         total += get(key, 0) * c
     return total
 
 
-def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
+@lru_cache(maxsize=None)
+def _least_k(p: int, weights: Weights) -> int:
     """Least k in [2, p^2] with _jh_sum(p, k-2, weights) > 0, all c > 0.
     Every factor of Sym^N has central character N mod p-1, so only the k
     with k-2 = 2a + b - 1 mod p-1 for a key (a, b) are decomposed, in
     increasing order: each block of p-1 values of k, then its residues in
-    order; an exhausted scan raises InternalInvariantError."""
-    residues = sorted({(2 * a + b - 1) % (p - 1) for a, b in weights})
+    order; an exhausted scan raises InternalInvariantError.  Memoised, so
+    like _decompose's cache it assumes _decompose never changes within a
+    process; run_suite empties both at its first slice and in its finally."""
+    residues = sorted({(2 * a + b - 1) % (p - 1) for (a, b), _ in weights})
     for base in range(2, p * p + 1, p - 1):
         for r in residues:
             k = base + r
@@ -264,7 +272,7 @@ def _least_k(p: int, weights: Mapping[Tuple[int, int], int]) -> int:
                 break
             if _jh_sum(p, k - 2, weights) > 0:
                 return k
-    raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(weights)}")
+    raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(dict(weights))}")
 
 
 def decompose_sym(p: int, N: int) -> VirtualClass:

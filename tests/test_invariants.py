@@ -43,10 +43,10 @@ CLOSED_FORM = {"k_min_closed", "_k_min"}
 
 
 def test_scans_never_reach_the_closed_form():
-    # k_min_search and k_cris, and verify's _scan that main and kmin read
-    # them through, are checked against the closed form (k_min_closed and
-    # the pair function _k_min behind it), so neither they nor any package
-    # function they call may use it
+    # k_min_search and k_cris, and the memoised _least_k behind them that
+    # verify's main (through k_cris) and kmin read, are checked against the
+    # closed form (k_min_closed and the pair function _k_min behind it), so
+    # neither they nor any package function they call may use it
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
@@ -54,12 +54,15 @@ def test_scans_never_reach_the_closed_form():
                 names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                          if isinstance(n, (ast.Name, ast.Attribute))}
                 defs[node.name] = defs.get(node.name, set()) | names
-    todo, seen = ["k_min_search", "k_cris", "_least_k", "_scan"], set()
+    todo, seen = ["k_min_search", "k_cris", "_least_k"], set()
     while todo:
         name = todo.pop()
         seen.add(name)
         todo += [n for n in defs[name] & set(defs) if n not in seen and n not in CLOSED_FORM]
-    assert {"_least_k", "_jh_sum", "mu_support", "_scan"} <= seen
+    assert {"_least_k", "_jh_sum", "mu_support"} <= seen
+    # the checks and the report read the scan through these roots alone
+    assert "k_cris" in defs["_eval_main"] and "_least_k" in defs["_eval_kmin"]
+    assert "_least_k" in defs["weight_report"]
     assert CLOSED_FORM <= set(defs)
     assert sorted(name for name in seen if CLOSED_FORM & defs[name]) == []
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrewt import cli, oracle
+from serrewt import cli, oracle, weights
 from serrewt.oracle import (
     cyclotomic_poly,
     k_min_search,
@@ -567,19 +567,23 @@ def test_brauer_sym_side_ignores_decompose(monkeypatch):
 
 def test_passing_n_visits_no_class(monkeypatch):
     # a passing N is decided by the cells of the two torus counts alone;
-    # only a failing N walks the classes, reading the nonzero cells into
-    # p^2 - 1 counts per class
-    class Unwalkable:
-        def __len__(self):
-            return 47 * 46
+    # only a failing N lists and walks the classes, reading the nonzero
+    # cells into p^2 - 1 counts per class
+    def unlisted(p):
+        raise AssertionError("a passing N listed the classes")
 
-        def __iter__(self):
-            raise AssertionError("a passing N walked the classes")
-
-    monkeypatch.setattr(oracle, "p_regular_classes", lambda p: Unwalkable())
+    monkeypatch.setattr(oracle, "p_regular_classes", unlisted)
     report = verify_decomposition(47, 3 * 47**2)
     assert report.passed
     assert report.classes_checked == 2162
+
+
+def test_a_passing_brauer_run_caches_no_class_list():
+    # the class lists stay in p_regular_classes's cache for the process's
+    # lifetime, so a run that passes must not fill it
+    p_regular_classes.cache_clear()
+    assert run_suite([5, 7], ["brauer"])["pass"]
+    assert p_regular_classes.cache_info().currsize == 0
 
 
 def test_verify_decomposition_rejects_negative():
@@ -606,6 +610,7 @@ def test_k_min_search_decomposes_one_residue_class():
     for a in (0, 1, 22, 44, 45):
         for b in (1, 2, 24, 46, 47):
             _decompose.cache_clear()
+            weights._least_k.cache_clear()  # a memo hit would decompose nothing
             k_min_search(SerreWeight(p, a, b))
             assert _decompose.cache_info().misses <= p + 1, (a, b)
 

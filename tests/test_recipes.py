@@ -29,7 +29,8 @@ from serrewt.recipes import (
     serre_k,
     weight_report,
 )
-from serrewt.weights import SerreWeight, _decompose, decompose_sym, k_min_closed
+from serrewt.oracle import k_min_search
+from serrewt.weights import SerreWeight, _decompose, _least_k, decompose_sym, k_min_closed
 
 from strategies import param_twist, params, twist_weight
 
@@ -357,6 +358,7 @@ def test_k_cris_decomposes_only_the_support_residues():
     for param in enumerate_params(p)[::97]:
         residues = {(2 * m + n) % (p - 1) for n, m, _ in mu_support(param)}
         _decompose.cache_clear()
+        _least_k.cache_clear()  # a memo hit would decompose nothing
         k_cris(param)
         assert _decompose.cache_info().misses <= (p + 1) * len(residues), param
 
@@ -395,7 +397,43 @@ def test_pair_forms_are_the_public_weight_sets(p):
         w, b = bdj_weight_set(q), bm_set(q)
         assert {x.p for x in w + b} == {p}
         assert recipes._w_pairs(q) == tuple((x.a, x.b) for x in w)
-        assert tuple(sorted(recipes._bm_weights(q))) == tuple((x.a, x.b) for x in b)
+        assert tuple(sorted(key for key, _ in recipes._bm_weights(q))) == tuple((x.a, x.b) for x in b)
+
+
+# ---------------------------------------------------------------------------
+# the scan memo
+
+
+def _support_tuple(q):
+    """The weight tuple of q's Breuil-Mezard support, in mu_support order."""
+    return tuple(((m, n + 1), mu) for n, m, mu in mu_support(q))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_memo_matches_a_fresh_scan(p):
+    # k_cris, weight_report and k_min_search read _least_k's memo, and share
+    # its entries; each equals an unmemoised scan of the same tuple
+    fresh = _least_k.__wrapped__
+    _least_k.cache_clear()
+    for q in enumerate_params(p):
+        k = fresh(p, _support_tuple(q))
+        assert k_cris(q) == weight_report(q)["k_cris"] == k, q
+    for a in range(p - 1):
+        for b in range(1, p + 1):
+            assert k_min_search(W(p, a, b)) == fresh(p, (((a, b), 1),)), (a, b)
+
+
+def test_weight_report_scans_each_weight_tuple_once():
+    params = enumerate_params(29)
+    distinct = len({_support_tuple(q) for q in params})
+    _least_k.cache_clear()
+    for q in params:
+        weight_report(q)
+    assert _least_k.cache_info().misses == distinct < len(params)
+    for q in params:
+        weight_report(q)
+    assert _least_k.cache_info().misses == distinct
+    assert _least_k.cache_info().hits == 2 * len(params) - distinct
 
 
 def test_weight_report_shape():

@@ -11,6 +11,7 @@ import pytest
 
 from serrewt import verify, weights
 from serrewt.errors import UnsupportedPrimeError
+from serrewt.recipes import _bm_weights
 from serrewt.verify import ALL_CHECKS, run_suite
 
 from test_mutations import MUTANTS, _patch_everywhere
@@ -339,7 +340,9 @@ def test_worker_slices_release_on_a_prime_switch(spy):
         assert verify._eval_slice(task)[0] == []
     assert spy.foreign == []
     assert spy.held and {p for p, _ in spy.held} == {5}
-    assert verify._scans and {p for p, _ in verify._scans} == {5}
+    # the switch to 7 dropped kmin's scans; only main's at 5 are held
+    main_tuples = {_bm_weights(q) for q in verify.enumerate_params(5)[:20]}
+    assert weights._least_k.cache_info().currsize == len(main_tuples)
     assert verify._held_prime == 5
     verify._release()
 
@@ -350,23 +353,45 @@ def test_all_checks_equal_the_checks_run_alone(p):
     # run of all four checks reports what each check reports alone
     alone = [run_suite([p], [check])["runs"][0] for check in ALL_CHECKS]
     assert _strip_ms(run_suite([p], "all")) == _strip_ms({"runs": alone, "pass": True})
-    assert verify._scans == {}
+    assert weights._least_k.cache_info().currsize == 0
+
+
+class _LeastKSpy:
+    """A stand-in for weights._least_k with its memo interface; counts the
+    scans it runs by key across emptyings, which cache_clear would reset
+    in an lru_cache's own counts."""
+
+    def __init__(self, scan):
+        self.__wrapped__ = scan
+        self.held = {}
+        self.scans = Counter()
+
+    def __call__(self, p, ws):
+        if (p, ws) not in self.held:
+            self.scans[p, ws] += 1
+            self.held[p, ws] = self.__wrapped__(p, ws)
+        return self.held[p, ws]
+
+    def cache_info(self):
+        return SimpleNamespace(currsize=len(self.held))
+
+    def cache_clear(self):
+        self.held.clear()
 
 
 def test_main_and_kmin_scan_each_weight_dict_once(monkeypatch):
-    # at p = 29 the 3,570 parameters have 1,680 distinct weight dicts, and
-    # 28 of kmin's 812 one-weight dicts are not among them: 4,382 scans
+    # at p = 29 the 3,570 parameters have 1,680 distinct weight tuples, and
+    # 28 of kmin's 812 one-weight tuples are not among them: 4,382 scans
     # when each item scanned its own
-    scans = Counter()
-    orig = verify._least_k
-
-    def counted(p, ws):
-        scans[p, tuple(ws.items())] += 1
-        return orig(p, ws)
-    monkeypatch.setattr(verify, "_least_k", counted)
+    scan = _LeastKSpy(weights._least_k.__wrapped__)
+    _patch_everywhere(monkeypatch, weights._least_k, scan)
     assert run_suite([29], "all")["pass"]
-    assert 0 < sum(scans.values()) == len(scans) <= 1_708
-    assert verify._scans == {}
+    assert 0 < sum(scan.scans.values()) == len(scan.scans) <= 1_708
+    # main's tuples (through k_cris) and kmin's all reach the one memo
+    grid = verify._kmin_items(29)
+    assert set(scan.scans) == ({(29, _bm_weights(q)) for q in verify.enumerate_params(29)}
+                               | {(29, ((item, 1),)) for item in grid})
+    assert scan.held == {}
 
 
 def test_a_run_that_raises_leaves_no_scan(monkeypatch):
@@ -377,7 +402,7 @@ def test_a_run_that_raises_leaves_no_scan(monkeypatch):
     monkeypatch.setitem(verify.CHECKS, "kmin", (verify._kmin_items, broken))
     with pytest.raises(RuntimeError):
         run_suite([5], ["main", "kmin"])
-    assert verify._scans == {} and verify._held_prime is None
+    assert weights._least_k.cache_info().currsize == 0 and verify._held_prime is None
 
 
 @pytest.mark.parametrize("p", [29, 47])
