@@ -18,8 +18,9 @@ exhaustively per prime.
 
 Inside the library W(rho) is the sorted (a, b) pairs _w_pairs and B(rho)
 the pairs of _bm_weights; only the public bdj_weight_set and bm_set build
-SerreWeights.  weight_report, behind the weights and table commands, takes
-every output from one mu_support and one _w_pairs call.
+SerreWeights.  _record gives a parameter's W pairs and B weights (one
+_w_pairs and one mu_support call); weight_report, behind the weights and
+table commands, and verify's main and bm checks read it, uncached here.
 
 Conventions used by serre_k.  For a split (semisimple) record the two
 inertia exponents are both reduced into [0, p-2] and the smaller one is the
@@ -210,6 +211,11 @@ def _bm_weights(param: InertialParam) -> Weights:
     return tuple(((m, n + 1), mu) for n, m, mu in mu_support(param))
 
 
+def _record(param: InertialParam) -> Tuple[Tuple[Tuple[int, int], ...], Weights]:
+    """(W(rho) pairs, B(rho) weights), each from its own recipe."""
+    return _w_pairs(param), _bm_weights(param)
+
+
 def bm_set(param: InertialParam) -> WeightSet:
     """B(rho) = { V(m, n+1) : mu_(n,m)(rho) > 0 }, ordered by (a, b)."""
     return tuple(SerreWeight(param.p, a, b) for (a, b), _ in sorted(_bm_weights(param)))
@@ -230,11 +236,10 @@ def k_cris(param: InertialParam) -> int:
 
 
 def weight_report(param: InertialParam) -> Dict[str, object]:
-    """All recipe outputs for one parameter, JSON-ready, in one pass: one
-    mu_support gives k_cris (the _least_k scan), B and mu_nonzero, and one
-    _w_pairs gives k_min (the closed form _k_min) and W, all as pairs."""
-    p, support, w_pairs = param.p, mu_support(param), _w_pairs(param)
-    bm_weights = tuple(((m, n + 1), mu) for n, m, mu in support)
+    """All recipe outputs for one parameter, JSON-ready, from its _record:
+    the W pairs give k_min (the closed form _k_min) and W, the B weights
+    give k_cris (the _least_k scan), B and mu_nonzero (n = b - 1, m = a)."""
+    p, (w_pairs, bm_weights) = param.p, _record(param)
     return {
         "param": param_to_dict(param),
         "k_serre": serre_k(param),
@@ -242,5 +247,5 @@ def weight_report(param: InertialParam) -> Dict[str, object]:
         "k_cris": _least_k(p, bm_weights),
         "W": [{"a": a, "b": b} for a, b in w_pairs],
         "B": [{"a": a, "b": b} for (a, b), _ in sorted(bm_weights)],
-        "mu_nonzero": [{"n": n, "m": m, "mu": mu} for n, m, mu in support],
+        "mu_nonzero": [{"n": b - 1, "m": a, "mu": mu} for (a, b), mu in bm_weights],
     }

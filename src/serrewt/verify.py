@@ -26,19 +26,21 @@ period of the periodic relation for p >= 7, so that check only samples
 it; its range is left as it is.
 
 run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
-each item list once per prime, main and bm sharing one, and cuts it into
-(check, p, items) slices; a check with at least 2 * jobs items gets up to
-`jobs` slices, a smaller one stays whole.  At jobs = 1 the slices run
-in-process, in order, and each item list is built when the previous check
-has run; at jobs > 1 they go through one process pool, submitted lazily
-with at most 2 * jobs in flight, so a later item list is built only as
-earlier results are taken.  The pool module, and multiprocessing with it,
-is imported only then.
-Failures are put back in item order for each run, so the aggregate JSON
-(timing fields aside) is a pure function of (primes, checks), whatever the
-worker count.  A run's "ms" is the sum of its slices' evaluation times.  At
-jobs = 1 that is the run's own time; at jobs > 1 it adds up time spent in
-several workers, so it is not the run's wall time and the runs' ms may sum
+each item list once per prime and cuts it into (checks, p, items) slices;
+a slice carries every selected check at p that shares the item list (main
+and bm, adjacent or not), and _eval_slice runs each over the same p items
+in turn.  A list with at least 2 * jobs items gets up to `jobs` slices, a
+smaller one stays whole.  At jobs = 1 the slices run in-process, in
+order, and each item list is built when the previous slice has run; at
+jobs > 1 they go through one process pool, submitted lazily with at most
+2 * jobs in flight, so a later item list is built only as earlier results
+are taken.  The pool module, and multiprocessing with it, is imported only
+then.  Failures are put back in item order for each run, so the aggregate
+JSON (timing fields aside) is a pure function of (primes, checks),
+whatever the worker count.  A run's "ms" is the sum of its own check's
+evaluation times over its slices (a record main and bm share is paid by
+whichever reads it first).  At jobs = 1 that is the run's own time; at
+jobs > 1 it adds up time spent in several workers, so the runs' ms may sum
 to more than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
@@ -50,7 +52,8 @@ run_suite empties both once its in-process slices are done; nothing is
 shared across primes, so nothing is recomputed.  main's k_cris and kmin's
 scan of ((a, b), 1) read the one memo, so each distinct weight tuple is
 scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
-4,462 at p = 47.
+4,462 at p = 47.  main and bm read one recipes._record per parameter
+from a store of at most p records, emptied after every chunk and by _release.
 Within a slice, after every p items, a cache holding more than
 p^2 + 4p decompositions is emptied; an item reads at most four, so a
 process never holds more than p^2 + 8p.  The scans of main and kmin read
@@ -68,23 +71,27 @@ bound empties the whole cache.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from collections import deque
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import weights
+from . import recipes, weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
-from .recipes import _w_pairs, k_cris, k_min_of_set, mu_support, serre_k
+from .recipes import serre_k
 from .weights import _class, _k_min, _least_k, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
-# (check, p, items): a run of consecutive items of one check at p
-Slice = Tuple[str, int, Sequence[object]]
+# (checks, p, items): consecutive items of the checks at p that share them
+Slice = Tuple[Tuple[str, ...], int, Sequence[object]]
+
+# the record store main and bm read; _eval_slice empties it after every chunk
+_record = functools.lru_cache(maxsize=None)(recipes._record)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +99,8 @@ Slice = Tuple[str, int, Sequence[object]]
 
 
 def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
-    ks, km, kc = serre_k(param), k_min_of_set(param), k_cris(param)
+    w_pairs, bm_weights = _record(param)
+    ks, km, kc = serre_k(param), min(_k_min(p, a, b) for a, b in w_pairs), _least_k(p, bm_weights)
     if ks == km == kc:
         return None
     return {
@@ -103,16 +111,15 @@ def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
 
 
 def _eval_bm(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
-    expected = _w_pairs(param)
-    support = mu_support(param)
-    actual = tuple(sorted([(m, n + 1) for n, m, _ in support]))
+    expected, bm_weights = _record(param)
+    actual = tuple(sorted(pair for pair, _ in bm_weights))
     if expected != actual:
         return {
             "param": param_to_dict(param),
             "expected": [{"a": a, "b": b} for a, b in expected],
             "actual": [{"a": a, "b": b} for a, b in actual],
         }
-    above = [{"n": n, "m": m, "mu": mu} for n, m, mu in support if mu > 1 and n <= p - 3]
+    above = [{"n": b - 1, "m": a, "mu": mu} for (a, b), mu in bm_weights if mu > 1 and b <= p - 2]
     if above:
         return {"param": param_to_dict(param), "expected": "mu <= 1 at n <= p-3", "actual": above}
     return None
@@ -193,33 +200,37 @@ _held_prime: Optional[int] = None
 
 
 def _release() -> None:
-    """Empty the scan memo and the decomposition cache, whatever
-    weights._least_k and weights._decompose are bound to now."""
+    """Empty the record store, the scan memo and the decomposition cache,
+    whatever weights._least_k and weights._decompose are bound to now."""
     global _held_prime
+    _record.cache_clear()
     weights._decompose.cache_clear()
     weights._least_k.cache_clear()
     _held_prime = None
 
 
-def _eval_slice(args: Slice) -> Tuple[List[Dict[str, object]], float]:
-    """Worker entry: evaluate the items of a slice, in order, holding
-    only this prime's decompositions and at most p^2 + 8p of them.
-
-    Returns the failures and the seconds the slice took.
-    """
+def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float]]:
+    """Worker entry: run each check of a slice over p items in turn, in
+    order, holding only this prime's decompositions, at most p^2 + 8p of
+    them, and at most p records.  Returns each check's failures and seconds."""
     global _held_prime
-    check, p, items = args
-    start = time.perf_counter()
+    names, p, items = args
+    mark = time.perf_counter()
     if p != _held_prime:
         _release()
         _held_prime = p
-    ev = CHECKS[check][1]
-    failures: List[Dict[str, object]] = []
+    evals = [CHECKS[name][1] for name in names]
+    failures: List[List[Dict[str, object]]] = [[] for _ in names]
+    seconds = [0.0] * len(names)
     for lo in range(0, len(items), p):
-        failures += [f for f in (ev(p, item) for item in items[lo:lo + p]) if f is not None]
+        for i, ev in enumerate(evals):
+            failures[i] += [f for f in (ev(p, item) for item in items[lo:lo + p]) if f is not None]
+            now = time.perf_counter()
+            seconds[i], mark = seconds[i] + now - mark, now
+        _record.cache_clear()
         if weights._decompose.cache_info().currsize > p * p + 4 * p:
             weights._decompose.cache_clear()
-    return failures, time.perf_counter() - start
+    return list(zip(failures, seconds))
 
 
 def run_suite(
@@ -256,27 +267,29 @@ def run_suite(
     jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once
     runs: List[Dict[str, object]] = []
 
-    def slices() -> Iterator[Tuple[int, Slice]]:
-        """Each slice with the index of its run in runs; an item list is
-        built when the previous one has been cut, and kept only while a
-        later check at p reads the same list (bm after main)."""
+    def slices() -> Iterator[Tuple[Sequence[int], Slice]]:
+        """Each slice with the indices in runs of its checks' runs; an item
+        list is built when the previous one has been cut, and every check
+        at p that reads it goes into its slices."""
         for p in primes:
-            shared: Dict[object, Sequence[object]] = {}
-            for i, name in enumerate(names):
-                make = CHECKS[name][0]
-                items = shared.pop(make) if make in shared else make(p)
-                if make in [CHECKS[later][0] for later in names[i + 1:]]:
-                    shared[make] = items
+            groups: Dict[object, List[int]] = {}  # item function -> its runs
+            for name in names:
+                groups.setdefault(CHECKS[name][0], []).append(len(runs))
+                runs.append({"p": p, "check": name, "params_checked": 0, "failures": [], "ms": 0})
+            for make, group in groups.items():
+                items = make(p)
                 n = len(items)
+                for idx in group:
+                    runs[idx]["params_checked"] = n
                 # fewer than 2 * jobs items stay one slice
                 chunk = -(-n // jobs) if n >= 2 * jobs else n
-                runs.append({"p": p, "check": name, "params_checked": n, "failures": [], "ms": 0})
+                slice_checks = tuple(runs[idx]["check"] for idx in group)
                 for lo in range(0, n, chunk):
-                    yield len(runs) - 1, (name, p, items[lo:lo + chunk])
+                    yield group, (slice_checks, p, items[lo:lo + chunk])
 
     if jobs == 1:
         try:
-            results = [(idx, _eval_slice(task)) for idx, task in slices()]
+            results = [(idxs, _eval_slice(task)) for idxs, task in slices()]
         finally:
             _release()  # a run that raised leaves no scan behind either
     else:
@@ -285,16 +298,17 @@ def run_suite(
         tasks = slices()
         ahead = list(islice(tasks, 2 * jobs))  # fewer than jobs slices start fewer workers
         with ProcessPoolExecutor(max_workers=min(jobs, len(ahead))) as pool:
-            pending = deque((idx, pool.submit(_eval_slice, task)) for idx, task in ahead)
+            pending = deque((idxs, pool.submit(_eval_slice, task)) for idxs, task in ahead)
             results = []
             while pending:
-                idx, future = pending.popleft()
-                results.append((idx, future.result()))
+                idxs, future = pending.popleft()
+                results.append((idxs, future.result()))
                 pending.extend((i, pool.submit(_eval_slice, task)) for i, task in islice(tasks, 1))
     seconds = [0.0] * len(runs)
-    for idx, (failures, elapsed) in results:
-        runs[idx]["failures"] += failures
-        seconds[idx] += elapsed
+    for idxs, per_check in results:
+        for idx, (failures, elapsed) in zip(idxs, per_check):
+            runs[idx]["failures"] += failures
+            seconds[idx] += elapsed
     for run, s in zip(runs, seconds):
         run["ms"] = int(round(1000 * s))
     return {"runs": runs, "pass": not any(run["failures"] for run in runs)}

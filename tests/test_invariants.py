@@ -44,25 +44,34 @@ CLOSED_FORM = {"k_min_closed", "_k_min"}
 
 def test_scans_never_reach_the_closed_form():
     # k_min_search and k_cris, and the memoised _least_k behind them that
-    # verify's main (through k_cris) and kmin read, are checked against the
-    # closed form (k_min_closed and the pair function _k_min behind it), so
-    # neither they nor any package function they call may use it
-    defs = {}
+    # verify's main and kmin read, are checked against the closed form
+    # (k_min_closed and the pair function _k_min behind it), so neither
+    # they, nor the record whose B weights main scans, nor any package
+    # function they call may use it
+    defs, nodes = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
             if isinstance(node, ast.FunctionDef):
                 names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                          if isinstance(n, (ast.Name, ast.Attribute))}
                 defs[node.name] = defs.get(node.name, set()) | names
-    todo, seen = ["k_min_search", "k_cris", "_least_k"], set()
+                nodes[node.name] = node
+    todo, seen = ["k_min_search", "k_cris", "_least_k", "_record"], set()
     while todo:
         name = todo.pop()
         seen.add(name)
         todo += [n for n in defs[name] & set(defs) if n not in seen and n not in CLOSED_FORM]
-    assert {"_least_k", "_jh_sum", "mu_support"} <= seen
+    assert {"_least_k", "_jh_sum", "mu_support", "_w_pairs", "_bm_weights"} <= seen
     # the checks and the report read the scan through these roots alone
-    assert "k_cris" in defs["_eval_main"] and "_least_k" in defs["_eval_kmin"]
-    assert "_least_k" in defs["weight_report"]
+    assert {"_record", "_least_k"} <= defs["_eval_main"] and "_least_k" in defs["_eval_kmin"]
+    assert {"_record", "_least_k"} <= defs["weight_report"]
+    # main's k_cris is the one _least_k scan of the B weights of its record
+    main = nodes["_eval_main"]
+    (unpack,) = [n for n in ast.walk(main) if isinstance(n, ast.Assign)
+                 and isinstance(n.value, ast.Call) and getattr(n.value.func, "id", None) == "_record"]
+    scans = [n for n in ast.walk(main)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_least_k"]
+    assert [ast.unparse(call.args[1]) for call in scans] == [unpack.targets[0].elts[1].id]
     assert CLOSED_FORM <= set(defs)
     assert sorted(name for name in seen if CLOSED_FORM & defs[name]) == []
 

@@ -22,9 +22,14 @@ library's behaviour with one rule changed; the checks that catch it:
     (recursion).  Derived classes are built without checking their keys,
     so the fault is reported as failed items, not raised as ValueError;
   * kisin_mu: every mu at n <= p-3 doubled (bm, by its Fontaine-Laffaille
-    bound mu <= 1 there; B(rho) and k_cris read only whether mu > 0).
+    bound mu <= 1 there; B(rho) and k_cris read only whether mu > 0);
+  * _bm_weights, the B weights of the record that weight_report, main and
+    bm read: the weight of cell (n, m) written (m, n + 2), not (m, n + 1)
+    (bm, main).  The fault caps b at p: a key (m, p + 1) names no weight,
+    so a parameter whose support is only n = p-1 would make k_cris's scan
+    raise InternalInvariantError instead of being reported as a failure.
 
-Kill rate: 9 of 10 planted faults are caught by the checks.  The tenth,
+Kill rate: 10 of 11 planted faults are caught by the checks.  The last,
 the split multiplicity `4 if lam else 2` in kisin_mu (n = p-2) changed to
 2, passes every check: only whether mu > 0 enters bm_set, k_cris is the
 least k whose weighted Jordan-Holder sum is positive, and the bound in bm
@@ -153,6 +158,11 @@ def _normalize_level2_off_by_one(orig):
     return fault
 
 
+def _bm_weights_b_shifted(param):
+    p = param.p
+    return tuple(((m, min(n + 2, p)), mu) for n, m, mu in recipes.mu_support(param))  # fault: was n + 1
+
+
 def _twist_unreduced(self, t):
     return weights._class(self.p, {(a + t, b): c for (a, b), c in self._coeffs.items()})  # fault: no % (p-1)
 
@@ -195,6 +205,10 @@ MUTANTS = {
             _normalize_level2_off_by_one(galois_params._normalize_level2),
         ),
         {"bm"},
+    ),
+    "bm_weights_b_shifted": (
+        lambda mp: mp.setattr(recipes, "_bm_weights", _bm_weights_b_shifted),
+        {"bm", "main"},
     ),
     "twist_unreduced": (
         lambda mp: mp.setattr(weights.VirtualClass, "twist", _twist_unreduced),
@@ -255,3 +269,14 @@ def test_bound_entry_lists_the_cells_above_it(monkeypatch):
         '"expected": "mu <= 1 at n <= p-3", "actual": [{"n": 0, "m": 0, "mu": 2}]}'
     )
     assert all(entry["expected"] == "mu <= 1 at n <= p-3" for entry in run["failures"])
+
+
+def test_weight_report_prints_the_b_that_bm_compared(monkeypatch):
+    # weight_report reads the record the checks read, so under a fault in
+    # its B weights the CLI's B is the faulty B that bm reported
+    MUTANTS["bm_weights_b_shifted"][0](monkeypatch)
+    (run,) = run_suite([5], ["bm"])["runs"]
+    assert len(run["failures"]) == 74
+    for entry in run["failures"]:
+        report = recipes.weight_report(parse_param(json.dumps(entry["param"])))
+        assert report["B"] == entry["actual"] != report["W"] == entry["expected"]

@@ -9,9 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from serrewt import verify, weights
+from serrewt import recipes, verify, weights
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.recipes import _bm_weights
+from serrewt.recipes import _bm_weights, weight_report
 from serrewt.verify import ALL_CHECKS, run_suite
 
 from test_mutations import MUTANTS, _patch_everywhere
@@ -173,7 +173,7 @@ class _InProcessPool:
     this process when its result is taken, so no process starts."""
 
     max_workers = []
-    log = []  # ("result", check, p) as each slice's result is taken
+    log = []  # ("result", check, p) per check of a slice, as its result is taken
 
     def __init__(self, max_workers):
         type(self).max_workers.append(max_workers)
@@ -186,7 +186,7 @@ class _InProcessPool:
 
     def submit(self, fn, task):
         def result():
-            type(self).log.append(("result", task[0], task[1]))
+            type(self).log += [("result", name, task[1]) for name in task[0]]
             return fn(task)
         return SimpleNamespace(result=result)
 
@@ -332,12 +332,12 @@ def test_run_suite_holds_one_prime_at_a_time(spy):
 
 def test_worker_slices_release_on_a_prime_switch(spy):
     # the slice sequence of one pool worker, run in-process
-    slices = [("kmin", 5, verify._kmin_items(5)[:10]),
-              ("recursion", 7, verify._recursion_items(7)[:30]),
-              ("recursion", 7, verify._recursion_items(7)[30:]),
-              ("main", 5, verify.enumerate_params(5)[:20])]
+    slices = [(("kmin",), 5, verify._kmin_items(5)[:10]),
+              (("recursion",), 7, verify._recursion_items(7)[:30]),
+              (("recursion",), 7, verify._recursion_items(7)[30:]),
+              (("main",), 5, verify.enumerate_params(5)[:20])]
     for task in slices:
-        assert verify._eval_slice(task)[0] == []
+        assert verify._eval_slice(task)[0][0] == []
     assert spy.foreign == []
     assert spy.held and {p for p, _ in spy.held} == {5}
     # the switch to 7 dropped kmin's scans; only main's at 5 are held
@@ -403,6 +403,99 @@ def test_a_run_that_raises_leaves_no_scan(monkeypatch):
     with pytest.raises(RuntimeError):
         run_suite([5], ["main", "kmin"])
     assert weights._least_k.cache_info().currsize == 0 and verify._held_prime is None
+
+
+def _count_recipe_calls(monkeypatch):
+    """Counts the _w_pairs and mu_support calls per parameter, wherever
+    the package binds them."""
+    calls = {"_w_pairs": Counter(), "mu_support": Counter()}
+    for name, counts in calls.items():
+        def counted(param, orig=getattr(recipes, name), counts=counts):
+            counts[param] += 1
+            return orig(param)
+        _patch_everywhere(monkeypatch, getattr(recipes, name), counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, checks", [(47, "all"), (29, ["main", "kmin", "bm"])])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_main_and_bm_build_each_record_once(monkeypatch, p, checks, jobs):
+    # main and bm read one record per parameter, also when they are not
+    # adjacent and when the slices go through a pool (in-process here)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    calls = _count_recipe_calls(monkeypatch)
+    assert run_suite([p], checks, jobs=jobs)["pass"]
+    assert _InProcessPool.max_workers == ([] if jobs == 1 else [2])
+    params = verify.enumerate_params(p)
+    for counts in calls.values():
+        assert counts == Counter(params) and sum(counts.values()) == _param_count(p)
+
+
+class _RecordSpy:
+    """A stand-in for verify._record with its cache interface; records how
+    many records, of which primes, it held each time it was emptied."""
+
+    def __init__(self, make):
+        self.make = make
+        self.held = {}
+        self.sizes = []
+
+    def __call__(self, param):
+        if param not in self.held:
+            self.held[param] = self.make(param)
+        return self.held[param]
+
+    def cache_clear(self):
+        self.sizes.append((len(self.held), {q.p for q in self.held}))
+        self.held.clear()
+
+
+@pytest.mark.parametrize("jobs", [1, 64])
+def test_record_store_holds_at_most_p(monkeypatch, jobs):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    store = _RecordSpy(recipes._record)
+    monkeypatch.setattr(verify, "_record", store)
+    assert run_suite([7, 29], "all", jobs=jobs)["pass"]
+    # one prime's records at a time, at most p of them; a chunk at p = 29
+    # holds 29, and at jobs = 64 a slice at p = 7 holds 3 parameters
+    for n, primes in store.sizes:
+        assert n == 0 or (len(primes) == 1 and n <= min(primes))
+    assert max(n for n, _ in store.sizes) == 29
+    assert max(n for n, primes in store.sizes if primes == {7}) == (7 if jobs == 1 else 3)
+    assert store.held == {}
+
+
+def test_record_store_is_empty_after_a_run():
+    assert run_suite([13], ["bm", "main"])["pass"]
+    assert verify._record.cache_info().currsize == 0
+    # the CLI's report builds its record afresh and caches none
+    weight_report(verify.enumerate_params(13)[0])
+    assert verify._record.cache_info().currsize == 0 and not hasattr(recipes._record, "cache_info")
+
+
+def test_a_run_that_raises_leaves_no_record(monkeypatch):
+    # bm raises in the first chunk at p = 5, after main filled the store
+    def broken(p, item):
+        raise RuntimeError("planted")
+    monkeypatch.setitem(verify.CHECKS, "bm", (verify._param_items, broken))
+    with pytest.raises(RuntimeError):
+        run_suite([5], ["main", "bm"])
+    assert verify._record.cache_info().currsize == 0 and verify._held_prime is None
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_shared_slices_report_the_same_at_any_worker_count(monkeypatch, p):
+    checks = ["main", "kmin", "bm"]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    reports = [_strip_ms(run_suite([p], checks, jobs=jobs)) for jobs in (1, 2)]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    reports.append(_strip_ms(run_suite([p], checks, jobs=64)))
+    assert reports[0] == reports[1] == reports[2]
+    assert [run["check"] for run in reports[0]["runs"]] == checks
 
 
 @pytest.mark.parametrize("p", [29, 47])
