@@ -47,8 +47,8 @@ from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
 
 DEFAULT_MAX_P = 47
 # Bounds the primality loop, not the work: no suite finishes near it.  The
-# largest range measured, verify -p 101..199 --jobs 1, takes 588 s at a peak
-# RSS of 783 MB on 2 vCPUs; per prime, time and memory grow about as p^3.
+# largest range measured, verify -p 101..199 --jobs 1, takes 217 s at a peak
+# RSS of 911 MB on 2 vCPUs; per prime, time and memory grow about as p^3.
 MAX_RANGE_TOP = 10_000
 FORMATS = ("table", "json", "csv")
 
@@ -138,47 +138,31 @@ def _require_below_top(p: int) -> None:
         raise ValueError(f"verify and table take p <= {MAX_RANGE_TOP}, got {p}")
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _csv_text(rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _weights_str(objs: List[Dict[str, int]]) -> str:
     return " ".join(f"V({o['a']},{o['b']})" for o in objs)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each command computes its result once and returns (exit code, JSON object,
+# CSV rows thunk, table lines thunk); main renders the chosen format alone,
+# so --format json builds no CSV rows or table lines.
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple:
     factors = decompose_sym(args.p, args.N).to_json_obj()
-    if args.format == "csv":
-        _emit(_csv_text([(f["a"], f["b"], f["mult"]) for f in factors]), args.out)
-    elif args.format == "json":
-        _emit(json.dumps(factors), args.out)
-    else:
-        lines = [f"V({f['a']},{f['b']}) x {f['mult']}" for f in factors]
+
+    def lines() -> List[str]:
         total = sum(f["mult"] * f["b"] for f in factors)
         ok = "ok" if total == args.N + 1 else "MISMATCH"
-        lines.append(f"dimension check: sum mult*b = {total} = N+1 [{ok}]")
-        _emit("\n".join(lines), args.out)
-    return 0
+        return [f"V({f['a']},{f['b']}) x {f['mult']}" for f in factors] + [
+            f"dimension check: sum mult*b = {total} = N+1 [{ok}]"]
+
+    return 0, factors, lambda: [(f["a"], f["b"], f["mult"]) for f in factors], lines
 
 
-def _cmd_kmin(args: argparse.Namespace) -> int:
+def _cmd_kmin(args: argparse.Namespace) -> tuple:
     w = SerreWeight(args.p, args.a, args.b)
     result = {"p": args.p, "a": args.a, "b": args.b, "k_min": k_min_closed(w)}
     shown = [result["k_min"]]  # the values of the csv row after (p, a, b), and of the table
@@ -186,17 +170,12 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
         result["k_min_search"] = k_min_search(w)
         result["match"] = result["k_min"] == result["k_min_search"]
         shown += [result["k_min_search"], "match" if result["match"] else "MISMATCH"]
-    if args.format == "json":
-        _emit(json.dumps(result), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text([[args.p, args.a, args.b] + shown]), args.out)
-    else:
-        _emit(", ".join(map(str, shown)), args.out)
-    return 0 if result.get("match", True) else 3
+    return (0 if result.get("match", True) else 3, result,
+            lambda: [[args.p, args.a, args.b] + shown], lambda: [", ".join(map(str, shown))])
 
 
 def _param_row(report: Dict[str, object]) -> Dict[str, object]:
-    # the first seven columns are parameter fields, blank where a type has none
+    # keys in TABLE_COLUMNS order; the parameter fields are blank where a type has none
     row: Dict[str, object] = {c: report["param"].get(c, "") for c in TABLE_COLUMNS[:7]}
     ks, km, kc = report["k_serre"], report["k_min"], report["k_cris"]
     w_objs, b_objs = report["W"], report["B"]
@@ -213,30 +192,22 @@ def _param_row(report: Dict[str, object]) -> Dict[str, object]:
     return row
 
 
-def _cmd_weights(args: argparse.Namespace) -> int:
+def _cmd_weights(args: argparse.Namespace) -> tuple:
     report = weight_report(parse_param(args.param))
-    if args.format == "json":
-        _emit(json.dumps(report), args.out)
-    elif args.format == "csv":
-        row = _param_row(report)
-        _emit(_csv_text([TABLE_COLUMNS, [row[c] for c in TABLE_COLUMNS]]), args.out)
-    else:
-        lines = [
-            f"param:  {json.dumps(report['param'])}",
-            f"k_serre: {report['k_serre']}",
-            f"k_min:   {report['k_min']}",
-            f"k_cris:  {report['k_cris']}",
-            f"W: {_weights_str(report['W'])}",
-            f"B: {_weights_str(report['B'])}",
-            "mu_nonzero: "
-            + ", ".join(f"(n={e['n']}, m={e['m']}) -> {e['mu']}"
-                        for e in report["mu_nonzero"]),
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    return 0, report, lambda: [TABLE_COLUMNS, list(_param_row(report).values())], lambda: [
+        f"param:  {json.dumps(report['param'])}",
+        f"k_serre: {report['k_serre']}",
+        f"k_min:   {report['k_min']}",
+        f"k_cris:  {report['k_cris']}",
+        f"W: {_weights_str(report['W'])}",
+        f"B: {_weights_str(report['B'])}",
+        "mu_nonzero: "
+        + ", ".join(f"(n={e['n']}, m={e['m']}) -> {e['mu']}"
+                    for e in report["mu_nonzero"]),
+    ]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     primes = _parse_prime_range(args.prime_range)
     checks = args.checks if args.checks == "all" else args.checks.split(",")
     jobs = args.jobs
@@ -248,42 +219,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"environment variable SERREWT_JOBS must be an integer, got {raw!r}") from None
     aggregate = run_suite(primes, checks, jobs=jobs)
-    if args.format == "json":
-        _emit(json.dumps(aggregate), args.out)
-    elif args.format == "csv":
-        rows = [
-            (r["p"], r["check"], r["params_checked"], len(r["failures"]), r["ms"])
-            for r in aggregate["runs"]
-        ]
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = []
-        for r in aggregate["runs"]:
-            status = "PASS" if not r["failures"] else f"FAIL ({len(r['failures'])})"
-            lines.append(
-                f"p={r['p']:>3} {r['check']:<9} {r['params_checked']:>6} checked  "
-                f"{r['ms']:>6} ms  {status}"
-            )
-        lines.append("all checks passed" if aggregate["pass"] else "FAILURES FOUND")
-        _emit("\n".join(lines), args.out)
-    return 0 if aggregate["pass"] else 1
+    runs = aggregate["runs"]
+
+    def lines() -> List[str]:
+        return [f"p={r['p']:>3} {r['check']:<9} {r['params_checked']:>6} checked  {r['ms']:>6} ms  "
+                + (f"FAIL ({len(r['failures'])})" if r["failures"] else "PASS") for r in runs
+                ] + ["all checks passed" if aggregate["pass"] else "FAILURES FOUND"]
+
+    return (0 if aggregate["pass"] else 1, aggregate, lambda: [
+        (r["p"], r["check"], r["params_checked"], len(r["failures"]), r["ms"]) for r in runs], lines)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple:
     _require_below_top(args.p)
     rows = [_param_row(weight_report(param)) for param in enumerate_params(args.p)]
-    cols = TABLE_COLUMNS
-    if args.format == "json":
-        _emit(json.dumps(rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text([cols] + [[row[c] for c in cols] for row in rows]), args.out)
-    else:
-        widths = {c: max(len(c), max(len(str(row[c])) for row in rows)) for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for row in rows:
-            lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in cols))
-        _emit("\n".join(lines), args.out)
-    return 0
+
+    def lines() -> List[str]:
+        grid = [dict(zip(TABLE_COLUMNS, TABLE_COLUMNS))] + rows  # the header first
+        widths = {c: max(len(str(row[c])) for row in grid) for c in TABLE_COLUMNS}
+        return ["  ".join(str(row[c]).ljust(widths[c]) for c in TABLE_COLUMNS) for row in grid]
+
+    return 0, rows, lambda: [TABLE_COLUMNS] + [list(row.values()) for row in rows], lines
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -292,7 +248,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         top, commands = _build_parser()
         parser = commands.get(argv[0]) if argv else None
         args = top.parse_args(argv) if parser is None else parser.parse_args(argv[1:])
-        return args.run(args)
+        code, obj, csv_rows, table_lines = args.run(args)
+        # the one render path: build the chosen format alone, end it with a
+        # newline if it lacks one, and write it to stdout or to --out
+        if args.format == "json":
+            text = json.dumps(obj)
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(csv_rows())
+            text = buf.getvalue()
+        else:
+            text = "\n".join(table_lines())
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

@@ -39,6 +39,11 @@ SHAPE_TRES = "tres"
 SHAPES = (SHAPE_SPLIT, SHAPE_NONSPLIT, SHAPE_PEU, SHAPE_TRES)
 
 
+def _require_odd_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise ParamError(f"p must be an odd prime, got {p}")
+
+
 @dataclass(frozen=True, order=True)
 class Irreducible:
     """Level-2 (irreducible) local parameter: 0 <= a < b <= p-1."""
@@ -48,8 +53,7 @@ class Irreducible:
     b: int
 
     def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise ParamError(f"p must be an odd prime, got {self.p}")
+        _require_odd_prime(self.p)
         if not 0 <= self.a < self.b <= self.p - 1:
             raise ParamError(
                 f"irreducible parameter needs 0 <= a < b <= p-1, got ({self.a}, {self.b})"
@@ -73,8 +77,7 @@ class Reducible:
     lambda_equal: bool
 
     def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise ParamError(f"p must be an odd prime, got {self.p}")
+        _require_odd_prime(self.p)
         if not 0 <= self.twist <= self.p - 2:
             raise ParamError(f"twist {self.twist} outside [0, {self.p - 2}]")
         if not 0 <= self.ratio <= self.p - 2:
@@ -103,8 +106,7 @@ def normalize_level2(p: int, e: int) -> Tuple[int, int]:
     Frobenius conjugate) gives the same answer.  Raises LevelOneError when
     p+1 divides e, i.e. when the character has level 1.
     """
-    if not is_odd_prime(p):
-        raise ParamError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     return _normalize_level2(p, e)
 
 
@@ -140,8 +142,7 @@ def enumerate_params(p: int) -> List[InertialParam]:
     Totals: p(p-1)/2 irreducible and (p-1)(4(p-1)+1) reducible records.
     p is tested once, and the records are built unchecked.
     """
-    if not is_odd_prime(p):
-        raise ParamError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     out: List[InertialParam] = [
         _record(Irreducible, p, a, b) for a in range(p - 1) for b in range(a + 1, p)
     ]

@@ -59,12 +59,18 @@ MS_FIELD = re.compile(r'(?<="ms": )\d+|(?<=,)\d+$|(?<=checked  )[ \d]{5}\d(?= ms
 
 
 @pytest.mark.parametrize("case", sorted(OUTPUT_BYTES))
-def test_output_bytes(capsys, case):
+def test_output_bytes(capsys, tmp_path, case):
+    # each case runs twice: to stdout, and with --out, where the file holds
+    # the same bytes and stdout stays empty
     argv = OUTPUT_BYTES[case]["argv"]
+    target = tmp_path / "out"
     code, out, err = run(capsys, *argv)
+    out_code, out_stdout, out_err = run(capsys, *argv, "--out", str(target))
+    written = target.read_bytes().decode("utf-8")
     if argv[0] == "verify":
-        out = MS_FIELD.sub("#", out)
+        out, written = MS_FIELD.sub("#", out), MS_FIELD.sub("#", written)
     assert (code, out, err) == (0, OUTPUT_BYTES[case]["stdout"], "")
+    assert (out_code, out_stdout, out_err, written) == (0, "", "", OUTPUT_BYTES[case]["stdout"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +152,21 @@ def test_kmin_json(capsys):
                        "--format", "json", "--search")
     obj = json.loads(out)
     assert obj == {"p": 5, "a": 1, "b": 2, "k_min": 9, "k_min_search": 9, "match": True}
+
+
+def test_kmin_search_mismatch_exits_3(capsys, monkeypatch, tmp_path):
+    # a planted wrong scan, one above the true k_min = 9: every format
+    # reports the mismatch, and the exit code is 3, also with --out
+    real = cli.k_min_search
+    monkeypatch.setattr(cli, "k_min_search", lambda w: real(w) + 1)
+    argv = ("kmin", "-p", "5", "-a", "1", "-b", "2", "--search")
+    assert run(capsys, *argv) == (3, "9, 10, MISMATCH\n", "")
+    assert run(capsys, *argv, "--format", "json") == (
+        3, '{"p": 5, "a": 1, "b": 2, "k_min": 9, "k_min_search": 10, "match": false}\n', "")
+    assert run(capsys, *argv, "--format", "csv") == (3, "5,1,2,9,10,MISMATCH\n", "")
+    target = tmp_path / "k.csv"
+    assert run(capsys, *argv, "--format", "csv", "--out", str(target)) == (3, "", "")
+    assert target.read_bytes() == b"5,1,2,9,10,MISMATCH\n"
 
 
 def test_kmin_out_of_range(capsys):
@@ -388,6 +409,39 @@ def test_output_deterministic(capsys):
     a = run(capsys, "table", "-p", "5", "--format", "csv")
     b = run(capsys, "table", "-p", "5", "--format", "csv")
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [("weights", TRES5), ("decompose", "-p", "5", "-N", "30")],
+                         ids=["weights", "decompose"])
+def test_json_builds_no_csv_rows_or_table_lines(capsys, monkeypatch, argv):
+    # query streams ask for --format json, so main must call neither the CSV
+    # rows nor the table lines a command returns, and weights builds no row
+    built, rows = [], []
+    real_row = cli._param_row
+    monkeypatch.setattr(cli, "_param_row", lambda report: rows.append(report) or real_row(report))
+
+    def spy(cmd):
+        def run_cmd(args):
+            code, obj, csv_rows, table_lines = cmd(args)
+            return (code, obj, lambda: built.append("csv") or csv_rows(),
+                    lambda: built.append("table") or table_lines())
+        return run_cmd
+
+    for name in ("_cmd_weights", "_cmd_decompose"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    cli._build_parser.cache_clear()  # the parsers bind the spies
+    try:
+        seen = {}
+        for fmt in ("json", "csv", "table"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), fmt
+            seen[fmt] = (list(built), len(rows))
+            built.clear()
+            rows.clear()
+    finally:
+        cli._build_parser.cache_clear()
+    assert seen == {"json": ([], 0), "csv": (["csv"], int(argv[0] == "weights")),
+                    "table": (["table"], 0)}
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
