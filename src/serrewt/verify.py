@@ -25,23 +25,25 @@ and [2, 2p+3] holds two k of every residue.  [-2p, 4p] is less than one
 period of the periodic relation for p >= 7, so that check only samples
 it; its range is left as it is.
 
-run_suite is the only runner.  It caps `jobs` at os.cpu_count(), builds
-each item list once per prime and cuts it into (checks, p, items) slices;
-a slice carries every selected check at p that shares the item list (main
-and bm, adjacent or not), and _eval_slice runs each over the same p items
-in turn.  A list with at least 2 * jobs items gets up to `jobs` slices, a
-smaller one stays whole.  At jobs = 1 the slices run in-process, in
-order, and each item list is built when the previous slice has run; at
-jobs > 1 they go through one process pool, submitted lazily with at most
-2 * jobs in flight, so a later item list is built only as earlier results
-are taken.  The pool module, and multiprocessing with it, is imported only
-then.  Failures are put back in item order for each run, so the aggregate
-JSON (timing fields aside) is a pure function of (primes, checks),
-whatever the worker count.  A run's "ms" is the sum of its own check's
-evaluation times over its slices (a record main and bm share is paid by
-whichever reads it first).  At jobs = 1 that is the run's own time; at
-jobs > 1 it adds up time spent in several workers, so the runs' ms may sum
-to more than the call's wall time.  All failures are collected rather than
+run_suite is the only runner.  It caps `jobs` at os.cpu_count() and makes
+one task list of (checks, p, part, parts) slices, largest prime first (the
+work at p grows about as p^3; this is Graham's LPT rule).  A slice carries
+every selected check at p, and _eval_slice builds each item list at p
+itself, so the parent builds none.  Prime p is cut into
+min(p, round(jobs * p^3 / sum of q^3)) parts, at least 1: a prime is split
+only when it is at least 1.5/jobs of the work, so at jobs = 1 every slice
+is a whole prime, whose checks run in one process from one cache.  Every item list has at
+least p(p-1) items, so no part is empty.  At jobs = 1 the slices run
+in-process, in order; at jobs > 1 through one process pool's ordered map,
+with min(jobs, slices) workers.  The pool module, and multiprocessing with
+it, is imported only then.  Failures are put back in item order for each
+run, so the aggregate JSON (timing fields aside) is a pure function of
+(primes, checks), whatever the worker count.  A run's "ms" is the sum of
+its own check's evaluation times over its slices, not counting the item
+list's build or a release (a record main and bm share is paid by whichever
+reads it first).  At jobs = 1 that is the run's own time; at jobs > 1 it
+adds up time spent in several workers, so the runs' ms may sum to more
+than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
 What a process holds.  The decomposition cache (weights._decompose) and
@@ -49,9 +51,11 @@ the scan memo (weights._least_k) keep one prime's entries at a time.
 _eval_slice empties both when it starts a slice at another prime than the
 last slice it ran, in-process at jobs = 1 and in each pool worker, and
 run_suite empties both once its in-process slices are done; nothing is
-shared across primes, so nothing is recomputed.  main's k_cris and kmin's
-scan of ((a, b), 1) read the one memo, so each distinct weight tuple is
-scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
+shared across primes, so nothing is recomputed.  A process keeps no item
+list after its slice; a cut prime's lists are built once per part, and a
+prime listed twice runs once and is reported twice.  main's k_cris and
+kmin's scan of ((a, b), 1) read the one memo, so each distinct weight tuple
+is scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
 4,462 at p = 47.  main and bm read one recipes._record per parameter
 from a store of at most p records, emptied after every chunk and by _release.
 Within a slice, after every p items, a cache holding more than
@@ -74,9 +78,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from collections import deque
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import recipes, weights
 from .errors import UnsupportedPrimeError
@@ -87,8 +89,8 @@ from .weights import _class, _k_min, _least_k, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
-# (checks, p, items): consecutive items of the checks at p that share them
-Slice = Tuple[Tuple[str, ...], int, Sequence[object]]
+# (checks, p, part, parts): every check at p, over one part of its items
+Slice = Tuple[Tuple[str, ...], int, int, int]
 
 # the record store main and bm read; _eval_slice empties it after every chunk
 _record = functools.lru_cache(maxsize=None)(recipes._record)
@@ -209,28 +211,41 @@ def _release() -> None:
     _held_prime = None
 
 
-def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float]]:
-    """Worker entry: run each check of a slice over p items in turn, in
-    order, holding only this prime's decompositions, at most p^2 + 8p of
-    them, and at most p records.  Returns each check's failures and seconds."""
+def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float, int]]:
+    """Worker entry: build the item list of each check group at p in turn
+    (the checks that share an item function, as main and bm do, adjacent or
+    not), take its rows part*n//parts : (part+1)*n//parts, and run the
+    group's checks over them p items at a time, holding only this prime's
+    decompositions, at most p^2 + 8p of them, and at most p records.
+    Returns each check's failures, seconds and item count n, in the order
+    of the slice's checks; a group's clock starts after its list is built."""
     global _held_prime
-    names, p, items = args
-    mark = time.perf_counter()
+    names, p, part, parts = args
     if p != _held_prime:
         _release()
         _held_prime = p
-    evals = [CHECKS[name][1] for name in names]
-    failures: List[List[Dict[str, object]]] = [[] for _ in names]
-    seconds = [0.0] * len(names)
-    for lo in range(0, len(items), p):
-        for i, ev in enumerate(evals):
-            failures[i] += [f for f in (ev(p, item) for item in items[lo:lo + p]) if f is not None]
-            now = time.perf_counter()
-            seconds[i], mark = seconds[i] + now - mark, now
-        _record.cache_clear()
-        if weights._decompose.cache_info().currsize > p * p + 4 * p:
-            weights._decompose.cache_clear()
-    return list(zip(failures, seconds))
+    groups: Dict[object, List[int]] = {}  # item function -> its checks' places in names
+    for i, name in enumerate(names):
+        groups.setdefault(CHECKS[name][0], []).append(i)
+    out: Dict[int, Tuple[List[Dict[str, object]], float, int]] = {}
+    for make, group in groups.items():
+        items = make(p)
+        n = len(items)
+        rows = items[part * n // parts:(part + 1) * n // parts]
+        failures: Dict[int, List[Dict[str, object]]] = {i: [] for i in group}
+        seconds = dict.fromkeys(group, 0.0)
+        mark = time.perf_counter()
+        for lo in range(0, len(rows), p):
+            for i in group:
+                ev = CHECKS[names[i]][1]
+                failures[i] += [f for f in (ev(p, item) for item in rows[lo:lo + p]) if f is not None]
+                now = time.perf_counter()
+                seconds[i], mark = seconds[i] + now - mark, now
+            _record.cache_clear()
+            if weights._decompose.cache_info().currsize > p * p + 4 * p:
+                weights._decompose.cache_clear()
+        out.update((i, (failures[i], seconds[i], n)) for i in group)
+    return [out[i] for i in range(len(names))]
 
 
 def run_suite(
@@ -249,9 +264,9 @@ def run_suite(
     aggregate depends only on (primes, checks).
     """
     if checks == "all":
-        names = list(ALL_CHECKS)
+        names = tuple(ALL_CHECKS)
     else:
-        names = [checks] if isinstance(checks, str) else list(checks)
+        names = (checks,) if isinstance(checks, str) else tuple(checks)
     if not primes or not names:
         raise ValueError("no primes or no checks selected; nothing to verify")
     for name in names:
@@ -265,50 +280,30 @@ def run_suite(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once
-    runs: List[Dict[str, object]] = []
-
-    def slices() -> Iterator[Tuple[Sequence[int], Slice]]:
-        """Each slice with the indices in runs of its checks' runs; an item
-        list is built when the previous one has been cut, and every check
-        at p that reads it goes into its slices."""
-        for p in primes:
-            groups: Dict[object, List[int]] = {}  # item function -> its runs
-            for name in names:
-                groups.setdefault(CHECKS[name][0], []).append(len(runs))
-                runs.append({"p": p, "check": name, "params_checked": 0, "failures": [], "ms": 0})
-            for make, group in groups.items():
-                items = make(p)
-                n = len(items)
-                for idx in group:
-                    runs[idx]["params_checked"] = n
-                # fewer than 2 * jobs items stay one slice
-                chunk = -(-n // jobs) if n >= 2 * jobs else n
-                slice_checks = tuple(runs[idx]["check"] for idx in group)
-                for lo in range(0, n, chunk):
-                    yield group, (slice_checks, p, items[lo:lo + chunk])
-
+    # largest prime first, each cut into the nearest whole number of 1/jobs
+    # shares of the summed p^3 work, at least 1 and at most p
+    total = sum(q ** 3 for q in set(primes))
+    tasks = [(names, p, part, parts) for p in sorted(set(primes), reverse=True)
+             for parts in [min(p, max(1, (2 * jobs * p ** 3 + total) // (2 * total)))]
+             for part in range(parts)]
     if jobs == 1:
         try:
-            results = [(idxs, _eval_slice(task)) for idxs, task in slices()]
+            results = [_eval_slice(task) for task in tasks]
         finally:
             _release()  # a run that raised leaves no scan behind either
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = slices()
-        ahead = list(islice(tasks, 2 * jobs))  # fewer than jobs slices start fewer workers
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ahead))) as pool:
-            pending = deque((idxs, pool.submit(_eval_slice, task)) for idxs, task in ahead)
-            results = []
-            while pending:
-                idxs, future = pending.popleft()
-                results.append((idxs, future.result()))
-                pending.extend((i, pool.submit(_eval_slice, task)) for i, task in islice(tasks, 1))
-    seconds = [0.0] * len(runs)
-    for idxs, per_check in results:
-        for idx, (failures, elapsed) in zip(idxs, per_check):
-            runs[idx]["failures"] += failures
-            seconds[idx] += elapsed
-    for run, s in zip(runs, seconds):
-        run["ms"] = int(round(1000 * s))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_eval_slice, tasks))
+    at: Dict[int, List[Dict[str, object]]] = {  # ms in seconds until the end
+        p: [{"p": p, "check": name, "params_checked": 0, "failures": [], "ms": 0.0} for name in names]
+        for p in set(primes)}
+    for (_, p, _, _), per_check in zip(tasks, results):  # a prime's parts in item order
+        for run, (failures, seconds, n) in zip(at[p], per_check):
+            run["failures"] += failures
+            run["ms"] += seconds
+            run["params_checked"] = n
+    runs = [dict(run, failures=list(run["failures"]), ms=int(round(1000 * run["ms"])))
+            for p in primes for run in at[p]]
     return {"runs": runs, "pass": not any(run["failures"] for run in runs)}

@@ -318,6 +318,21 @@ def test_verify_jobs_deterministic_json(capsys):
     assert strip(out1) == strip(out64)
 
 
+def test_verify_a_real_pool_prints_as_one_process(capsys, monkeypatch):
+    # one call that cuts 29 into two parts, run in two processes, and runs
+    # 3 whole beside them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a process pool even on one core
+    argv = ["verify", "-p", "3,29", "--checks", "main,bm,kmin,recursion,brauer", "--format", "json"]
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert (code, err) == (0, "")
+        outs.append(MS_FIELD.sub("#", out))
+    assert outs[0] == outs[1]
+    runs = json.loads(out)["runs"]
+    assert [(r["p"], r["check"]) for r in runs] == [(p, c) for p in (3, 29) for c in argv[4].split(",")]
+
+
 def test_verify_range_parses_inclusive(capsys):
     code, out, _ = run(capsys, "verify", "-p", "3..7", "--checks", "bm", "--format", "csv")
     assert code == 0

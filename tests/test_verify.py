@@ -4,6 +4,7 @@ import concurrent.futures
 import copy
 import hashlib
 import json
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -169,11 +170,12 @@ def test_run_suite_opens_one_pool_per_call(monkeypatch):
 
 
 class _InProcessPool:
-    """Records the requested worker count and runs a submitted slice in
-    this process when its result is taken, so no process starts."""
+    """Records the requested worker count and the tasks it is handed, and
+    maps a function over them in this process, so no process starts."""
 
     max_workers = []
-    log = []  # ("result", check, p) per check of a slice, as its result is taken
+    tasks = []  # every task handed to map, in order
+    log = []  # ("map",) when map is called, then ("result", check, p) per check of a slice
 
     def __init__(self, max_workers):
         type(self).max_workers.append(max_workers)
@@ -184,38 +186,47 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, task):
-        def result():
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        type(self).tasks += tasks
+        type(self).log.append(("map",))
+        for task in tasks:
             type(self).log += [("result", name, task[1]) for name in task[0]]
-            return fn(task)
-        return SimpleNamespace(result=result)
+            yield fn(task)
 
 
-def test_run_suite_caps_jobs_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """_InProcessPool in place of the process pool, with empty records."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    for name in ("max_workers", "tasks", "log"):
+        monkeypatch.setattr(_InProcessPool, name, [])
+    return _InProcessPool
+
+
+def test_run_suite_caps_jobs_at_cpu_count(monkeypatch, in_process_pool):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     many = run_suite([5], "all", jobs=64)
-    assert _InProcessPool.max_workers == [2]
+    assert in_process_pool.max_workers == [2]
     assert _strip_ms(many) == _strip_ms(run_suite([5], "all", jobs=1))
 
 
-def test_run_suite_starts_no_idle_worker(monkeypatch):
-    # the pool asks for min(jobs, slices of the call) workers
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    for cores, checks, slices in ((16, ["kmin", "main"], 2), (4, ["kmin", "main"], 5), (4, ["kmin"], 1)):
+def test_run_suite_starts_no_idle_worker(monkeypatch, in_process_pool):
+    # the pool asks for min(jobs, slices of the call) workers; a lone prime
+    # is cut into at most p parts, and [3, 5] at 16 cores into 5 + 3
+    for cores, primes, slices in ((16, [3], 3), (2, [3], 2), (16, [3, 5], 8)):
         monkeypatch.setattr(verify.os, "cpu_count", lambda cores=cores: cores)
         monkeypatch.setattr(_InProcessPool, "max_workers", [])
-        assert run_suite([3], checks, jobs=cores)["pass"]  # kmin 6 items, main 21
-        assert _InProcessPool.max_workers == [min(cores, slices)]
+        monkeypatch.setattr(_InProcessPool, "tasks", [])
+        assert run_suite(primes, ["kmin", "main"], jobs=cores)["pass"]
+        assert len(in_process_pool.tasks) == slices
+        assert in_process_pool.max_workers == [min(cores, slices)]
 
 
-def test_run_suite_builds_later_items_as_results_are_taken(monkeypatch):
-    # at jobs > 1 at most 2 * jobs slices are in flight, so the item list
-    # of a later prime waits for an earlier prime's first result
+def test_run_suite_parent_builds_no_item_list(monkeypatch, in_process_pool):
+    # the pool is handed (checks, p, part, parts) slices of plain names and
+    # ints, and each item list is built in the worker that runs its slice
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "log", [])
     items, ev = verify.CHECKS["kmin"]
 
     def built(p):
@@ -223,16 +234,19 @@ def test_run_suite_builds_later_items_as_results_are_taken(monkeypatch):
         return items(p)
     monkeypatch.setitem(verify.CHECKS, "kmin", (built, ev))
     primes = [3, 5, 7, 11]
-    parallel = run_suite(primes, ["kmin"], jobs=2)  # two slices per prime
-    log = _InProcessPool.log
-    assert log[:4] == [("build", "kmin", 3), ("build", "kmin", 5),
-                       ("result", "kmin", 3), ("build", "kmin", 7)]
-    assert log.index(("build", "kmin", 11)) > log.index(("result", "kmin", 5))
-    assert [e for e in log if e[0] == "result"] == [("result", "kmin", p) for p in primes for _ in "ab"]
+    parallel = run_suite(primes, ["kmin"], jobs=2)  # 11 is 73 % of the work: whole primes
+    log = in_process_pool.log
+    assert log[0] == ("map",) and log.count(("map",)) == 1
+    assert log[1:] == [(kind, "kmin", p) for p in (11, 7, 5, 3) for kind in ("result", "build")]
+    assert in_process_pool.tasks == [(("kmin",), p, 0, 1) for p in (11, 7, 5, 3)]
+    assert all(type(x) is int for task in in_process_pool.tasks for x in task[1:])
     assert _strip_ms(parallel) == _strip_ms(run_suite(primes, ["kmin"], jobs=1))
 
 
-def test_run_suite_builds_each_item_list_once(monkeypatch):
+def test_run_suite_builds_each_item_list_once(monkeypatch, in_process_pool):
+    # once per prime that is not cut; a cut prime builds each of its lists
+    # once per part, in that part's slice
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     built = Counter()
     for name, (items, ev) in list(verify.CHECKS.items()):
         def counted(p, name=name, items=items):
@@ -243,14 +257,16 @@ def test_run_suite_builds_each_item_list_once(monkeypatch):
     serial = run_suite([3, 5], "all", jobs=1)
     assert built == once
     built.clear()
-    parallel = run_suite([3, 5], "all", jobs=2)
-    assert built == once
+    parallel = run_suite([3, 5], "all", jobs=2)  # 5 is 82 % of the work: two parts
+    assert built == {**once, **{(name, 5): 2 for name in ALL_CHECKS}}
+    assert built == Counter((name, p) for _, p, _, _ in in_process_pool.tasks for name in ALL_CHECKS)
     assert _strip_ms(serial) == _strip_ms(parallel)
 
 
 def test_run_suite_builds_items_one_check_at_a_time(monkeypatch):
     # at jobs=1 a check's item list is built after the previous check ran,
-    # so a run over many primes never holds all their item lists
+    # largest prime first, so a run over many primes never holds all their
+    # item lists
     log = []
     for name, (items, ev) in list(verify.CHECKS.items()):
         def built(p, name=name, items=items):
@@ -263,8 +279,51 @@ def test_run_suite_builds_items_one_check_at_a_time(monkeypatch):
             return ev(p, item)
         monkeypatch.setitem(verify.CHECKS, name, (built, evaluated))
     run_suite([3, 5], ["kmin", "recursion"], jobs=1)
-    assert log == [(kind, name, p) for p in (3, 5) for name in ("kmin", "recursion")
+    assert log == [(kind, name, p) for p in (5, 3) for name in ("kmin", "recursion")
                    for kind in ("build", "eval")]
+
+
+@pytest.mark.parametrize("primes, cores, expected", [
+    ([3, 29], 2, [(29, 0, 2), (29, 1, 2), (3, 0, 1)]),  # 29 is 99.9 % of the work
+    ([29, 31], 2, [(31, 0, 1), (29, 0, 1)]),  # 31 is 55 %, nearer one share than two
+    ([5], 64, [(5, part, 5) for part in range(5)]),  # at most p parts
+], ids=["3,29-jobs2", "29,31-jobs2", "5-jobs64"])
+def test_run_suite_cuts_primes_by_their_share_largest_first(monkeypatch, in_process_pool,
+                                                            primes, cores, expected):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+    assert _strip_ms(run_suite(primes, ["kmin"], jobs=cores)) == _strip_ms(
+        run_suite(primes, ["kmin"], jobs=1))
+    assert in_process_pool.tasks == [(("kmin",), p, part, parts) for p, part, parts in expected]
+    assert in_process_pool.max_workers == [min(cores, len(expected))]
+
+
+def test_run_suite_ms_counts_only_evaluation(monkeypatch):
+    # neither building an item list nor emptying the caches at a prime
+    # switch is charged to a run
+    def slow(fn):
+        def wrapped(*args):
+            time.sleep(0.2)
+            return fn(*args)
+        return wrapped
+    monkeypatch.setitem(verify.CHECKS, "kmin", (slow(verify._kmin_items), verify._eval_kmin))
+    monkeypatch.setattr(verify, "_release", slow(verify._release))
+    monkeypatch.setattr(verify, "_held_prime", None)
+    start = time.perf_counter()
+    (run,) = run_suite([3], ["kmin"])["runs"]
+    assert time.perf_counter() - start >= 0.6  # the build, the switch and the final release
+    assert run["ms"] < 100 and run["params_checked"] == 6
+
+
+ALL_FIVE = ["main", "bm", "kmin", "recursion", "brauer"]
+
+
+def test_a_real_pool_reports_as_one_process(monkeypatch):
+    # at jobs 2, prime 29 is cut into two parts that run in two processes,
+    # and 3 runs whole beside them
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    parallel = run_suite([3, 29], ALL_FIVE, jobs=2)
+    assert parallel["pass"]
+    assert _strip_ms(parallel) == _strip_ms(run_suite([3, 29], ALL_FIVE, jobs=1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +391,16 @@ def test_run_suite_holds_one_prime_at_a_time(spy):
 
 def test_worker_slices_release_on_a_prime_switch(spy):
     # the slice sequence of one pool worker, run in-process
-    slices = [(("kmin",), 5, verify._kmin_items(5)[:10]),
-              (("recursion",), 7, verify._recursion_items(7)[:30]),
-              (("recursion",), 7, verify._recursion_items(7)[30:]),
-              (("main",), 5, verify.enumerate_params(5)[:20])]
-    for task in slices:
-        assert verify._eval_slice(task)[0][0] == []
+    slices = [(("kmin",), 5, 0, 2), (("recursion",), 7, 0, 2),
+              (("recursion",), 7, 1, 2), (("main",), 5, 0, 4)]
+    for task, n in zip(slices, (20, 169, 169, 78)):  # each check's full item count
+        ((failures, _, checked),) = verify._eval_slice(task)
+        assert failures == [] and checked == n
     assert spy.foreign == []
     assert spy.held and {p for p, _ in spy.held} == {5}
-    # the switch to 7 dropped kmin's scans; only main's at 5 are held
-    main_tuples = {_bm_weights(q) for q in verify.enumerate_params(5)[:20]}
+    # the switch to 7 dropped kmin's scans; only main's at 5 are held, from
+    # rows 0 : 78 // 4 of its item list
+    main_tuples = {_bm_weights(q) for q in verify.enumerate_params(5)[:19]}
     assert weights._least_k.cache_info().currsize == len(main_tuples)
     assert verify._held_prime == 5
     verify._release()
@@ -419,15 +478,13 @@ def _count_recipe_calls(monkeypatch):
 
 @pytest.mark.parametrize("p, checks", [(47, "all"), (29, ["main", "kmin", "bm"])])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_main_and_bm_build_each_record_once(monkeypatch, p, checks, jobs):
+def test_main_and_bm_build_each_record_once(monkeypatch, in_process_pool, p, checks, jobs):
     # main and bm read one record per parameter, also when they are not
     # adjacent and when the slices go through a pool (in-process here)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "max_workers", [])
     calls = _count_recipe_calls(monkeypatch)
     assert run_suite([p], checks, jobs=jobs)["pass"]
-    assert _InProcessPool.max_workers == ([] if jobs == 1 else [2])
+    assert in_process_pool.max_workers == ([] if jobs == 1 else [2])
     params = verify.enumerate_params(p)
     for counts in calls.values():
         assert counts == Counter(params) and sum(counts.values()) == _param_count(p)
@@ -453,18 +510,21 @@ class _RecordSpy:
 
 
 @pytest.mark.parametrize("jobs", [1, 64])
-def test_record_store_holds_at_most_p(monkeypatch, jobs):
+def test_record_store_holds_at_most_p(monkeypatch, in_process_pool, jobs):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     store = _RecordSpy(recipes._record)
     monkeypatch.setattr(verify, "_record", store)
     assert run_suite([7, 29], "all", jobs=jobs)["pass"]
     # one prime's records at a time, at most p of them; a chunk at p = 29
-    # holds 29, and at jobs = 64 a slice at p = 7 holds 3 parameters
+    # holds 29.  p = 7 runs whole: 171 = 24 * 7 + 3 parameters.  At jobs = 1
+    # so does p = 29 (3,570 = 123 * 29 + 3); at jobs = 64 it is cut into 29
+    # parts of 123 or 124 parameters, each ending in a chunk of 7 or 8
     for n, primes in store.sizes:
         assert n == 0 or (len(primes) == 1 and n <= min(primes))
     assert max(n for n, _ in store.sizes) == 29
-    assert max(n for n, primes in store.sizes if primes == {7}) == (7 if jobs == 1 else 3)
+    assert {n for n, primes in store.sizes if primes == {7}} == {3, 7}
+    assert {n for n, primes in store.sizes if primes == {29}} == ({3, 29} if jobs == 1 else {7, 8, 29})
+    assert len(in_process_pool.tasks) == (0 if jobs == 1 else 30)
     assert store.held == {}
 
 
@@ -493,7 +553,9 @@ def test_shared_slices_report_the_same_at_any_worker_count(monkeypatch, p):
     reports = [_strip_ms(run_suite([p], checks, jobs=jobs)) for jobs in (1, 2)]
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "tasks", [])
     reports.append(_strip_ms(run_suite([p], checks, jobs=64)))
+    assert len(_InProcessPool.tasks) == p
     assert reports[0] == reports[1] == reports[2]
     assert [run["check"] for run in reports[0]["runs"]] == checks
 
