@@ -46,11 +46,12 @@ adds up time spent in several workers, so the runs' ms may sum to more
 than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
-What a process holds.  The decomposition cache (weights._decompose) and
-the scan memo (weights._least_k) keep one prime's entries at a time.
-_eval_slice empties both when it starts a slice at another prime than the
-last slice it ran, in-process at jobs = 1 and in each pool worker, and
-run_suite empties both once its in-process slices are done; nothing is
+What a process holds.  The decomposition cache (weights._decompose), its
+step tables (weights._period, at most p-1) and the scan memo
+(weights._least_k) keep one prime's entries at a time.  _eval_slice
+empties all three when it starts a slice at another prime than the last
+slice it ran, in-process at jobs = 1 and in each pool worker, and
+run_suite empties them once its in-process slices are done; nothing is
 shared across primes, so nothing is recomputed.  A process keeps no item
 list after its slice; a cut prime's lists are built once per part, and a
 prime listed twice runs once and is reported twice.  main's k_cris and
@@ -85,7 +86,7 @@ from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
 from .recipes import serre_k
-from .weights import _class, _k_min, _least_k, is_odd_prime, sym_class
+from .weights import _k_min, _least_k, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
@@ -150,10 +151,13 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
     kind, n, k = item
     if kind == "lemma":
         lhs = sym_class(p, n + k * (p - 1))
-        # _combine copies its left operand's dict and loops over its right one
-        rhs = sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1) + (
-            sym_class(p, n) + _class(p, {(n % (p - 1), p - n): 1})
-        )
+        # one dict: twist builds a fresh one, and Sym^n and V(n mod p-1, p-n)
+        # are added into it in place, never into a cached decomposition; every
+        # term is effective (its Sym index is >= -1), so no sum is zero
+        rhs = sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
+        out, get = rhs._coeffs, rhs._coeffs.get
+        for key, c in [*sym_class(p, n)._coeffs.items(), ((n % (p - 1), p - n), 1)]:
+            out[key] = get(key, 0) + c
     else:
         lhs = sym_class(p, n + p - 1) - sym_class(p, n)
         rhs = (sym_class(p, n - 2) - sym_class(p, n - p - 1)).twist(1)
@@ -202,11 +206,12 @@ _held_prime: Optional[int] = None
 
 
 def _release() -> None:
-    """Empty the record store, the scan memo and the decomposition cache,
-    whatever weights._least_k and weights._decompose are bound to now."""
+    """Empty the record store, the scan memo, the decomposition cache and
+    the step tables, whatever the weights names are bound to now."""
     global _held_prime
     _record.cache_clear()
     weights._decompose.cache_clear()
+    weights._period.cache_clear()
     weights._least_k.cache_clear()
     _held_prime = None
 

@@ -11,8 +11,8 @@ the "Serre weights".  This module implements:
     Grothendieck group of finite-dimensional representations, i.e. integer
     combinations of the V(a, b));
   * decompose_sym: the Jordan-Holder factors of Sym^N with multiplicity,
-    as a VirtualClass, for every N >= 0, in O(p) steps whatever N: the
-    peeling recursion repeats with period p-1 and is folded by it;
+    as a VirtualClass, for every N >= 0, in O(p) whatever N: the peeling
+    steps repeat with period p-1, and a whole period is one step table;
   * sym_class: the class [Sym^N] for every integer N, using the
     conventions [Sym^(-1)] = 0 and, for N < -1,
     [Sym^N] = -[det^(N+1) (x) Sym^(-N-2)], which extend the periodic
@@ -31,11 +31,15 @@ A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
 cached decomposition dict itself, and nothing mutates a stored dict.
-Two unbounded caches live here: _decompose, and _least_k, the memo of the
-scans behind k_cris and k_min_search.  verify.run_suite empties both at its
-first slice, between primes and when it is done, and _decompose alone past
-p^2 + 4p decompositions at p; a class built from a cached dict keeps it
-alive after the cache is emptied.
+Three unbounded caches live here: _decompose; _period, the fold's step
+tables, each the 2(p-1) keys of one period of steps and their counts, at
+most p-1 residues per prime, read only when (N+1)//(p+1) >= p-1 and run
+from the step formula, never twisted from another residue's table (the
+recursion check would then read its own identity back); and _least_k, the
+memo of the scans behind k_cris and k_min_search.  verify.run_suite empties
+all three at its first slice, between primes and when it is done, and
+_decompose alone past p^2 + 4p decompositions at p; a class built from a
+cached dict keeps it alive after the cache is emptied.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -43,9 +47,11 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
+from collections import _count_elements  # Counter's C counting loop, on a plain dict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .errors import InternalInvariantError, UnsupportedPrimeError
 
@@ -207,38 +213,57 @@ def _class(p: int, coeffs: Dict[Tuple[int, int], int]) -> VirtualClass:
     return out
 
 
+def _steps(p: int, N: int, count: int) -> Iterator[Tuple[int, int]]:
+    """The two keys of each of the first `count` <= p-1 peeling steps of
+    Sym^N.  Step t peels det^t (x) ([S_n] + [det^n (x) S_(p-n-1)]) off
+    det^t (x) Sym^M, M = N - t(p+1) >= p, n = ((M-1) mod p-1) + 1, and
+    leaves det^(t+1) (x) Sym^(M-p-1); the keys depend on N mod p-1 alone."""
+    q = p - 1
+    m = (N - 1) % q  # n - 1; M falls by p + 1 = 2 mod p-1 a step
+    for t in range(count):
+        yield (t, m + 2)
+        yield ((m + 1 + t) % q, q - m)
+        m = (m - 2) % q
+
+
+@lru_cache(maxsize=None)
+def _period(p: int, r: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
+    """The step table of N = r mod p-1: the 2(p-1) keys of one whole period
+    of steps in step order (a list: tuple() of a generator grows by resizing,
+    which fills the interpreter's tuple free lists), and their counts.  Run
+    from the step formula, never twisted from another residue's table."""
+    keys = list(_steps(p, r, p - 1))
+    counts: Dict[Tuple[int, int], int] = {}
+    _count_elements(counts, keys)
+    return keys, counts
+
+
 @lru_cache(maxsize=None)
 def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}, in O(p)
     steps for every N; callers must not mutate.  An entry stays until
-    cache_clear() (see the module docstring)."""
+    cache_clear() (see the module docstring).  The S = (N+1)//(p+1) steps
+    repeat with period p-1: for S >= p-1 the result is reps times the table
+    _period(p, N mod p-1) plus its first `extra` steps, (reps, extra) =
+    divmod(S, p-1); a part period counts its S steps and builds no table.
+    Only additions occur, so the result is effective by construction."""
     _require_odd_prime(p)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    # Step t peels det^t (x) ([S_n] + [det^n (x) S_(p-n-1)]) off
-    # det^t (x) Sym^M, M = N - t(p+1) >= p, n = ((M-1) mod p-1) + 1, and
-    # leaves det^(t+1) (x) Sym^(M-p-1).  Both keys depend on t mod p-1 alone
-    # (M = N - 2t mod p-1), so the S = (N+1)//(p+1) steps are one pass over
-    # t < min(S, p-1), each step counted once per period it falls in.
-    # Only additions occur, so the result is effective by construction.
-    factors: Dict[Tuple[int, int], int] = {}
-    get = factors.get
     q = p - 1
     S = (N + 1) // (p + 1)
-    reps, extra = divmod(S, q)
-    count = reps + 1  # steps t < extra fall in one more period
-    for t in range(min(S, q)):
-        if t == extra:
-            count = reps
-        n = ((N - t * (p + 1) - 1) % q) + 1
-        key = (t, n + 1)
-        factors[key] = get(key, 0) + count
-        key = ((n + t) % q, p - n)
-        factors[key] = get(key, 0) + count
+    if S < q:
+        factors: Dict[Tuple[int, int], int] = {}
+        _count_elements(factors, _steps(p, N, S))
+    else:
+        keys, counts = _period(p, N % q)
+        reps, extra = divmod(S, q)
+        factors = dict(counts) if reps == 1 else {key: reps * c for key, c in counts.items()}
+        _count_elements(factors, islice(keys, 2 * extra))  # no sliced copy
     M = N - S * (p + 1)
     if M >= 0:
         key = (S % q, M + 1)
-        factors[key] = get(key, 0) + 1
+        factors[key] = factors.get(key, 0) + 1
     if sum(c * b for (_, b), c in factors.items()) != N + 1:
         raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")
     return factors

@@ -15,6 +15,7 @@ from serrewt.errors import UnsupportedPrimeError
 from serrewt.recipes import _bm_weights, weight_report
 from serrewt.verify import ALL_CHECKS, run_suite
 
+from peeling_reference import decompose_loop
 from test_mutations import MUTANTS, _patch_everywhere
 
 
@@ -406,6 +407,23 @@ def test_worker_slices_release_on_a_prime_switch(spy):
     verify._release()
 
 
+def test_recursion_leaves_every_cached_decomposition_as_folded(spy):
+    # the lemma's right side is summed in place into the twist's fresh dict;
+    # every dict the cache held must still equal a fresh fold of its N
+    held, fold = [], spy.__wrapped__
+
+    def record(p, N):
+        held.append((p, N, fold(p, N)))
+        return held[-1][2]
+
+    spy.__wrapped__ = record
+    assert run_suite([7], ["recursion"])["pass"]
+    assert len(held) >= len(spy.read) > 0
+    for p, N, factors in held:
+        weights._period.cache_clear()
+        assert factors == fold(p, N) == decompose_loop(p, N), (p, N)
+
+
 @pytest.mark.parametrize("p", [5, 13, 29])
 def test_all_checks_equal_the_checks_run_alone(p):
     # main and kmin share scans and main and bm share an item list, but a
@@ -534,6 +552,17 @@ def test_record_store_is_empty_after_a_run():
     # the CLI's report builds its record afresh and caches none
     weight_report(verify.enumerate_params(13)[0])
     assert verify._record.cache_info().currsize == 0 and not hasattr(recipes._record, "cache_info")
+
+
+def test_a_run_leaves_every_library_cache_empty():
+    # every cache in these namespaces, found by its cache_info as the bench's
+    # per-round clear finds them, so a cache that _release misses fails here
+    assert run_suite([5, 7], "all", jobs=1)["pass"]
+    caches = {f"{mod.__name__}.{name}": value for mod in (weights, recipes, verify)
+              for name, value in vars(mod).items() if hasattr(value, "cache_info")}
+    assert {"serrewt.weights._decompose", "serrewt.weights._period", "serrewt.weights._least_k",
+            "serrewt.verify._record"} <= set(caches)
+    assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
 
 
 def test_a_run_that_raises_leaves_no_record(monkeypatch):

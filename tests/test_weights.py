@@ -241,6 +241,47 @@ def test_decompose_period_identity(p):
         assert seen.setdefault(N % (p - 1), step) == step, (p, N)
 
 
+def _check_fold(p, N, expected):
+    factors = _decompose.__wrapped__(p, N)
+    assert type(factors) is dict and 0 not in factors.values(), (p, N)
+    assert factors == expected, (p, N)
+    if (N + 1) // (p + 1) >= p - 1:  # a whole period: read from a step table
+        assert factors is not weights._period(p, N % (p - 1))[1], (p, N)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 47])
+def test_step_tables_match_the_peeling_loop(p):
+    # every N < 4P and some far N, with the tables warm in ascending and in
+    # descending order, then with them emptied before each N
+    P = p * p - 1
+    far = [10**6] + [10**12 + r for r in range(p - 1)]
+    expected = {N: decompose_loop(p, N) for N in range(4 * P)}
+    expected.update((N, decompose_affine(p, N)) for N in far)
+    weights._period.cache_clear()
+    for order in (sorted(expected), sorted(expected, reverse=True)):
+        for N in order:
+            _check_fold(p, N, expected[N])
+    assert weights._period.cache_info().currsize == p - 1
+    for N in expected:
+        weights._period.cache_clear()
+        _check_fold(p, N, expected[N])
+    weights._period.cache_clear()
+
+
+def test_a_part_period_builds_no_table():
+    # below (N+1)//(p+1) = p-1 the steps are counted directly, so a cold
+    # residue costs no more steps than the N itself has
+    big = 100000000000000000039  # a 21-digit prime
+    weights._period.cache_clear()
+    assert _decompose.__wrapped__(big, 3 * (big + 1) + 4) == decompose_loop(big, 3 * (big + 1) + 4)
+    for p in (5, 47):
+        _decompose.__wrapped__(p, p * p - 3)  # p-2 steps
+        assert weights._period.cache_info().currsize == 0
+    _decompose.__wrapped__(47, 47 * 47 - 2)  # p-1 steps, one whole period
+    assert weights._period.cache_info().currsize == 1
+    weights._period.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # multiplicity of one weight in Sym^(k-2)
 
