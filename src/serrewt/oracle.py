@@ -57,21 +57,24 @@ a), is one cyclic run of b cells in row c = 2a + b - 1 mod p-1 of each
 count: from cell a mod p-1 on the split torus and from cell a + k mod
 p+1 on the other, as e = c + (p-1)(a + k) with k = (2a + b - 1) // (p-1).
 Sym^N's weights are V(0, N + 1)'s, so it is that run counted -1 times,
-built from N alone.  Each factor computes its row once and adds its run
-to both tori's difference arrays as two entries, plus its whole turns at
-cell 0; this holds for any key, and a key with b < 1 has no weights.  The
-(row, cell) pairs relabel the keys (x mod p-1, y mod p-1) and e one to
-one, so the rows decide exactly as the keyed counts would.  A correct
-decomposition keeps every factor on Sym^N's row; a factor with another
-central character lands in a row Sym^N leaves empty and is seen there.
-Both counts stay needed, since some faults show on one torus only.  A
-row's cells are the prefix sums of its differences, so every cell is zero
-iff every difference is, and a passing N is decided on the differences
-alone, at O(p + #factors) for any N: about 0.011 ms per N at p = 13,
-0.022 ms at p = 31 and 0.027 ms at p = 47 with decompositions cached (one
-core of a 2-vCPU x86 host).  Only a failing N sums its rows, lists their
-nonzero cells once, and walks the classes, each reading the cells of its
-torus as the keys they relabel; a passing N never lists the classes, so
+built from N alone.  Each factor computes its row once and adds its run to
+each torus as cyclic differences, -mult at the start cell and +mult b
+cells on, whatever b is; the row's total, -mult * b summed, is one more
+cell of the split list, as both tori share it.  This holds for any key,
+and a key with b < 1 has no weights.  The (row, cell) pairs relabel the
+keys (x mod p-1, y mod p-1) and e one to one, so the rows decide exactly
+as the keyed counts would.  A correct decomposition keeps every factor on
+Sym^N's row; a factor with another central character lands in a row
+Sym^N leaves empty and is seen there.  Both counts stay needed, since
+some faults show on one torus only.  A count on Z/L with no cyclic
+difference is constant, 1/L of the total, so a row is zero iff its
+differences and total are, and a passing N is decided on them alone, at
+O(p + #factors) for any N: about 0.005 ms per N at p = 13, 0.009 ms at
+p = 31 and 0.012 ms at p = 47 with decompositions cached (one core of a
+2-vCPU x86 host).  Only a failing N rebuilds its cells, the prefix sums
+of the differences shifted to sum to the total, lists the nonzero ones
+once, and walks the classes, each reading the cells of its torus as the
+keys they relabel; a passing N never lists the classes, so
 p_regular_classes's cache holds only primes with a failing N.
 """
 
@@ -191,42 +194,38 @@ class DecompositionReport:
         return not self.failures
 
 
+def _cells(diffs: List[int], total: int) -> List[int]:
+    """A torus's cells of one row, from its cyclic differences and total."""
+    cells = list(accumulate(diffs))  # the cells less the last cell
+    last = (total - sum(cells)) // len(cells)  # exact, as the cells sum to the total
+    return [last + w for w in cells]
+
+
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N) by the two torus counts above; a failure
     entry carries its class's p^2 - 1 counts of Sym^N minus the factors'."""
     factors = _decompose(p, N)  # checks p and N
     m, n, q = p - 1, p * p - 1, p + 1
-    rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: its split and non-split differences
-    # V(a, b) x mult: b cells of row c from split cell a and non-split cell
-    # a + k, whole turns at cell 0; Sym^N is V(0, N + 1) counted -1 times
+    rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: split differences + total, non-split ones
+    # V(a, b) x mult: a run of b cells of row c from split cell a and non-split
+    # cell a + k, -mult * b to the total; Sym^N is V(0, N + 1) counted -1 times
     for (a, b), mult in [((0, N + 1), -1), *factors.items()]:
         if b < 1:
             continue  # no weights
         k, c = divmod(2 * a + b - 1, m)
-        pair = rows.get(c)
-        if pair is None:
-            pair = rows[c] = [0] * m, [0] * q
-        ds, dn = pair
-        start = a % m
-        ds[start] -= mult
-        end = start + b
-        if end >= m:
-            turns, end = divmod(end, m)
-            ds[0] -= turns * mult
-        ds[end] += mult
-        start = (a + k) % q
-        dn[start] -= mult
-        end = start + b
-        if end >= q:
-            turns, end = divmod(end, q)
-            dn[0] -= turns * mult
-        dn[end] += mult
+        ds, dn = rows.get(c) or rows.setdefault(c, ([0] * (m + 1), [0] * q))
+        ds[a % m] -= mult
+        ds[(a + b) % m] += mult
+        ds[m] -= mult * b
+        a += k
+        dn[a % q] -= mult
+        dn[(a + b) % q] += mult
     failures = []
-    # a row's cells are the prefix sums of its differences, all zero iff
-    # every difference is; only a failing N lists its nonzero cells
+    # a row with no cyclic difference is constant on each torus, the total
+    # over the torus's length; only a failing N rebuilds and lists its cells
     if any(any(ds) or any(dn) for ds, dn in rows.values()):
-        split = [(c, j, w) for c, (d, _) in rows.items() for j, w in enumerate(accumulate(d)) if w]
-        nonsplit = [(c, j, w) for c, (_, d) in rows.items() for j, w in enumerate(accumulate(d)) if w]
+        split = [(c, j, w) for c, (ds, _) in rows.items() for j, w in enumerate(_cells(ds[:m], ds[m])) if w]
+        nonsplit = [(c, j, w) for c, (ds, dn) in rows.items() for j, w in enumerate(_cells(dn, ds[m])) if w]
         for i, i2 in p_regular_classes(p):
             # cell j of row c lifts to zeta^(ci + j(p-1)i) at a non-split
             # class, as e = c + (p-1)j, and to zeta^(ci' + j(i - i')) at a

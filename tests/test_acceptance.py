@@ -133,6 +133,22 @@ def test_criterion_5_brauer_certification():
     assert elapsed < 300.0
 
 
+def test_criterion_5_brauer_run_suite_every_odd_p_to_47():
+    # every N <= 3p^2 at every odd p <= 47, through the suite's brauer check
+    start = time.perf_counter()
+    report = run_suite(PRIMES_47, ["brauer"])
+    elapsed = time.perf_counter() - start
+    counts = {r["p"]: r["params_checked"] for r in report["runs"]}
+    expected = {p: 3 * p * p + 1 for p in PRIMES_47}
+    ok = report["pass"] and counts == expected
+    _report(
+        f"criterion 5 (Brauer certification via run_suite, p in 3..47, N <= 3p^2): "
+        f"{'PASS' if ok else 'FAIL'} ({sum(counts.values())} decompositions, {elapsed:.1f} s)"
+    )
+    assert report["pass"] is True
+    assert counts == expected
+
+
 def test_criterion_6_spot_values():
     for p in PRIMES_31:
         # tres at twist 0 has minimal weight p + 1

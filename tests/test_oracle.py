@@ -473,7 +473,10 @@ def _out_of_range_claims(p, N, factors):
     Sym^N as the one key (0, N + 1); a factor's a moved by +-(p-1), and to
     p-1 from 0; weights counted with b <= 0, which have none; a factor
     twisted by det without reducing a, which moves it off Sym^N's central
-    character; a factor's b raised to p+1 and to 2p."""
+    character; a factor's b raised to p+1 and to 2p.  Three more are whole
+    turns on both tori, p-1 and p+1 dividing (p^2-1)/2, so only the row's
+    total rejects them: the factors plus (0, (p^2-1)/2), the factors plus
+    (1, p^2-1), and no factor at all where N + 1 = (p^2-1)/2."""
     m = p - 1
     key = min(factors)
     top = max(factors)
@@ -496,6 +499,11 @@ def _out_of_range_claims(p, N, factors):
         mult = claim.pop(key)
         claim[key[0], b] = claim.get((key[0], b), 0) + mult
         out.append((claim, None))
+    half = (p * p - 1) // 2
+    out.append(({**factors, (0, half): 1}, False))
+    out.append(({**factors, (1, 2 * half): 1}, False))
+    if N + 1 == half:
+        out.append(({}, False))
     return out
 
 
