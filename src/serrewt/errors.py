@@ -18,8 +18,10 @@ class LevelOneError(ValueError):
 
 
 class UnsupportedPrimeError(ValueError):
-    """The prime 2, a non-prime, or a number too large for is_odd_prime to
-    decide was passed where an odd prime is required."""
+    """Raised by run_suite for 2 or a non-prime, by the CLI for a -p range
+    that contains 2, and by is_odd_prime at or above its Miller-Rabin bound.
+    Elsewhere a non-prime p is a plain ValueError (decompose_sym,
+    SerreWeight) or, in a parameter record, a ParamError."""
 
 
 class InternalInvariantError(RuntimeError):

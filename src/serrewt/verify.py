@@ -46,15 +46,15 @@ adds up time spent in several workers, so the runs' ms may sum to more
 than the call's wall time.  All failures are collected rather than
 aborting at the first, so one run documents the complete mismatch pattern.
 
-What a process holds.  The decomposition cache (weights._decompose), its
-step tables (weights._period, at most p-1) and the scan memo
-(weights._least_k) keep one prime's entries at a time.  _eval_slice
-empties all three when it starts a slice at another prime than the last
-slice it ran, in-process at jobs = 1 and in each pool worker, and
-run_suite empties them once its in-process slices are done; nothing is
-shared across primes, so nothing is recomputed.  A process keeps no item
-list after its slice; a cut prime's lists are built once per part, and a
-prime listed twice runs once and is reported twice.  main's k_cris and
+What a process holds.  Every slice starts and ends with empty caches:
+_eval_slice calls _release as it starts and, raised or not, as it ends,
+at any worker count.  _release empties the decomposition cache
+(weights._decompose), its step tables (weights._period, at most p-1), the
+scan memo (weights._least_k), the record store and the Brauer class lists
+(oracle.p_regular_classes), so an idle pool worker holds nothing.  A
+process keeps no item list after its slice; a cut prime's lists and
+decompositions are built once per part, and a prime listed twice runs
+once and is reported twice.  main's k_cris and
 kmin's scan of ((a, b), 1) read the one memo, so each distinct weight tuple
 is scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
 4,462 at p = 47.  main and bm read one recipes._record per parameter
@@ -81,7 +81,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import recipes, weights
+from . import oracle, recipes, weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
@@ -200,57 +200,53 @@ CHECKS = {
     "brauer": (lambda p: range(3 * p * p + 1), _eval_brauer),
 }
 
-
-# the prime whose decompositions this process holds, None after a release
-_held_prime: Optional[int] = None
+_clear_classes = oracle.p_regular_classes.cache_clear  # bound at import: bench/tracer.py wraps the name
 
 
 def _release() -> None:
-    """Empty the record store, the scan memo, the decomposition cache and
-    the step tables, whatever the weights names are bound to now."""
-    global _held_prime
+    """Empty every cache a slice fills, as the weights names are bound now."""
     _record.cache_clear()
     weights._decompose.cache_clear()
     weights._period.cache_clear()
     weights._least_k.cache_clear()
-    _held_prime = None
+    _clear_classes()
 
 
 def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float, int]]:
     """Worker entry: build the item list of each check group at p in turn
     (the checks that share an item function, as main and bm do, adjacent or
     not), take its rows part*n//parts : (part+1)*n//parts, and run the
-    group's checks over them p items at a time, holding only this prime's
-    decompositions, at most p^2 + 8p of them, and at most p records.
+    group's checks over them p items at a time, from empty caches to empty
+    caches, holding at most p^2 + 8p decompositions and p records.
     Returns each check's failures, seconds and item count n, in the order
     of the slice's checks; a group's clock starts after its list is built."""
-    global _held_prime
     names, p, part, parts = args
-    if p != _held_prime:
+    _release()
+    try:
+        groups: Dict[object, List[int]] = {}  # item function -> its checks' places in names
+        for i, name in enumerate(names):
+            groups.setdefault(CHECKS[name][0], []).append(i)
+        out: Dict[int, Tuple[List[Dict[str, object]], float, int]] = {}
+        for make, group in groups.items():
+            items = make(p)
+            n = len(items)
+            rows = items[part * n // parts:(part + 1) * n // parts]
+            failures: Dict[int, List[Dict[str, object]]] = {i: [] for i in group}
+            seconds = dict.fromkeys(group, 0.0)
+            mark = time.perf_counter()
+            for lo in range(0, len(rows), p):
+                for i in group:
+                    ev = CHECKS[names[i]][1]
+                    failures[i] += [f for f in (ev(p, item) for item in rows[lo:lo + p]) if f is not None]
+                    now = time.perf_counter()
+                    seconds[i], mark = seconds[i] + now - mark, now
+                _record.cache_clear()
+                if weights._decompose.cache_info().currsize > p * p + 4 * p:
+                    weights._decompose.cache_clear()
+            out.update((i, (failures[i], seconds[i], n)) for i in group)
+        return [out[i] for i in range(len(names))]
+    finally:
         _release()
-        _held_prime = p
-    groups: Dict[object, List[int]] = {}  # item function -> its checks' places in names
-    for i, name in enumerate(names):
-        groups.setdefault(CHECKS[name][0], []).append(i)
-    out: Dict[int, Tuple[List[Dict[str, object]], float, int]] = {}
-    for make, group in groups.items():
-        items = make(p)
-        n = len(items)
-        rows = items[part * n // parts:(part + 1) * n // parts]
-        failures: Dict[int, List[Dict[str, object]]] = {i: [] for i in group}
-        seconds = dict.fromkeys(group, 0.0)
-        mark = time.perf_counter()
-        for lo in range(0, len(rows), p):
-            for i in group:
-                ev = CHECKS[names[i]][1]
-                failures[i] += [f for f in (ev(p, item) for item in rows[lo:lo + p]) if f is not None]
-                now = time.perf_counter()
-                seconds[i], mark = seconds[i] + now - mark, now
-            _record.cache_clear()
-            if weights._decompose.cache_info().currsize > p * p + 4 * p:
-                weights._decompose.cache_clear()
-        out.update((i, (failures[i], seconds[i], n)) for i in group)
-    return [out[i] for i in range(len(names))]
 
 
 def run_suite(
@@ -292,10 +288,7 @@ def run_suite(
              for parts in [min(p, max(1, (2 * jobs * p ** 3 + total) // (2 * total)))]
              for part in range(parts)]
     if jobs == 1:
-        try:
-            results = [_eval_slice(task) for task in tasks]
-        finally:
-            _release()  # a run that raised leaves no scan behind either
+        results = [_eval_slice(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 

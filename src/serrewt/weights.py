@@ -36,10 +36,9 @@ tables, each the 2(p-1) keys of one period of steps and their counts, at
 most p-1 residues per prime, read only when (N+1)//(p+1) >= p-1 and run
 from the step formula, never twisted from another residue's table (the
 recursion check would then read its own identity back); and _least_k, the
-memo of the scans behind k_cris and k_min_search.  verify.run_suite empties
-all three at its first slice, between primes and when it is done, and
-_decompose alone past p^2 + 4p decompositions at p; a class built from a
-cached dict keeps it alive after the cache is emptied.
+memo of the scans behind k_cris and k_min_search.  When the suite runner
+empties them is stated once, in serrewt.verify's "What a process holds";
+a class built from a cached dict keeps it alive after the cache is emptied.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -288,7 +287,7 @@ def _least_k(p: int, weights: Weights) -> int:
     increasing order: each block of p-1 values of k, then its residues in
     order; an exhausted scan raises InternalInvariantError.  Memoised, so
     like _decompose's cache it assumes _decompose never changes within a
-    process; run_suite empties both at its first slice and in its finally."""
+    process; serrewt.verify's "What a process holds" says when both are emptied."""
     residues = sorted({(2 * a + b - 1) % (p - 1) for (a, b), _ in weights})
     for base in range(2, p * p + 1, p - 1):
         for r in residues:

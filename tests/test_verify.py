@@ -6,17 +6,18 @@ import hashlib
 import json
 import time
 from collections import Counter
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
 
-from serrewt import recipes, verify, weights
+from serrewt import oracle, recipes, verify, weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.recipes import _bm_weights, weight_report
 from serrewt.verify import ALL_CHECKS, run_suite
 
 from peeling_reference import decompose_loop
-from test_mutations import MUTANTS, _patch_everywhere
+from test_mutations import MUTANTS, _decompose_one_factor_twisted, _patch_everywhere
 
 
 def _param_count(p):
@@ -299,8 +300,8 @@ def test_run_suite_cuts_primes_by_their_share_largest_first(monkeypatch, in_proc
 
 
 def test_run_suite_ms_counts_only_evaluation(monkeypatch):
-    # neither building an item list nor emptying the caches at a prime
-    # switch is charged to a run
+    # neither building an item list nor emptying the caches as a slice
+    # starts and ends is charged to a run
     def slow(fn):
         def wrapped(*args):
             time.sleep(0.2)
@@ -308,10 +309,9 @@ def test_run_suite_ms_counts_only_evaluation(monkeypatch):
         return wrapped
     monkeypatch.setitem(verify.CHECKS, "kmin", (slow(verify._kmin_items), verify._eval_kmin))
     monkeypatch.setattr(verify, "_release", slow(verify._release))
-    monkeypatch.setattr(verify, "_held_prime", None)
     start = time.perf_counter()
     (run,) = run_suite([3], ["kmin"])["runs"]
-    assert time.perf_counter() - start >= 0.6  # the build, the switch and the final release
+    assert time.perf_counter() - start >= 0.6  # the build and the slice's two releases
     assert run["ms"] < 100 and run["params_checked"] == 6
 
 
@@ -377,7 +377,6 @@ class _DecomposeSpy:
 def spy(monkeypatch):
     spy = _DecomposeSpy(weights._decompose.__wrapped__)
     _patch_everywhere(monkeypatch, weights._decompose, spy)
-    monkeypatch.setattr(verify, "_held_prime", None)  # restored afterwards
     return spy
 
 
@@ -390,21 +389,20 @@ def test_run_suite_holds_one_prime_at_a_time(spy):
     assert serial["pass"]
 
 
-def test_worker_slices_release_on_a_prime_switch(spy):
-    # the slice sequence of one pool worker, run in-process
+def test_worker_slices_start_and_end_empty(spy):
+    # the slice sequence of one pool worker, run in-process, two parts of 7
+    # back to back among them; before each slice a caller leaves a
+    # decomposition and a scan at 11, which the slice must drop as it starts
     slices = [(("kmin",), 5, 0, 2), (("recursion",), 7, 0, 2),
               (("recursion",), 7, 1, 2), (("main",), 5, 0, 4)]
     for task, n in zip(slices, (20, 169, 169, 78)):  # each check's full item count
+        weights._least_k(11, (((0, 1), 1),))
+        made = spy.made
         ((failures, _, checked),) = verify._eval_slice(task)
         assert failures == [] and checked == n
+        assert spy.made > made  # the slice read decompositions of its own
+        assert spy.held == {} and weights._least_k.cache_info().currsize == 0
     assert spy.foreign == []
-    assert spy.held and {p for p, _ in spy.held} == {5}
-    # the switch to 7 dropped kmin's scans; only main's at 5 are held, from
-    # rows 0 : 78 // 4 of its item list
-    main_tuples = {_bm_weights(q) for q in verify.enumerate_params(5)[:19]}
-    assert weights._least_k.cache_info().currsize == len(main_tuples)
-    assert verify._held_prime == 5
-    verify._release()
 
 
 def test_recursion_leaves_every_cached_decomposition_as_folded(spy):
@@ -479,7 +477,7 @@ def test_a_run_that_raises_leaves_no_scan(monkeypatch):
     monkeypatch.setitem(verify.CHECKS, "kmin", (verify._kmin_items, broken))
     with pytest.raises(RuntimeError):
         run_suite([5], ["main", "kmin"])
-    assert weights._least_k.cache_info().currsize == 0 and verify._held_prime is None
+    assert weights._least_k.cache_info().currsize == 0
 
 
 def _count_recipe_calls(monkeypatch):
@@ -554,15 +552,46 @@ def test_record_store_is_empty_after_a_run():
     assert verify._record.cache_info().currsize == 0 and not hasattr(recipes._record, "cache_info")
 
 
-def test_a_run_leaves_every_library_cache_empty():
-    # every cache in these namespaces, found by its cache_info as the bench's
-    # per-round clear finds them, so a cache that _release misses fails here
-    assert run_suite([5, 7], "all", jobs=1)["pass"]
+def _held_caches():
+    """The library caches that hold entries, by name: every cache in the
+    weights, recipes and verify namespaces, found by its cache_info as the
+    bench's per-round clear finds them, and the Brauer class lists (named
+    alone, since other tests fill oracle's cyclotomic_poly)."""
     caches = {f"{mod.__name__}.{name}": value for mod in (weights, recipes, verify)
               for name, value in vars(mod).items() if hasattr(value, "cache_info")}
     assert {"serrewt.weights._decompose", "serrewt.weights._period", "serrewt.weights._least_k",
             "serrewt.verify._record"} <= set(caches)
-    assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
+    caches["serrewt.oracle.p_regular_classes"] = oracle.p_regular_classes
+    return {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize}
+
+
+def test_a_run_leaves_every_library_cache_empty(monkeypatch):
+    # a cache that _release misses fails here
+    assert run_suite([5, 7], "all", jobs=1)["pass"]
+    assert _held_caches() == {}
+    # a failing N lists p = 5's classes, which the slice drops as it ends
+    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(_decompose_one_factor_twisted))
+    assert not run_suite([5], ["brauer"], jobs=1)["pass"]
+    assert _held_caches() == {}
+
+
+@pytest.mark.parametrize("jobs", [2, 64])
+def test_a_pool_run_leaves_every_library_cache_empty(monkeypatch, in_process_pool, jobs):
+    # every slice ends empty, so no worker keeps the caches of the last
+    # slice it ran; also when that slice raised
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: jobs)
+    assert run_suite([5, 7], "all", jobs=jobs)["pass"]
+    assert len(in_process_pool.tasks) == (2 if jobs == 2 else 12)
+    assert _held_caches() == {}
+
+    def broken(p, item):
+        if p == 5:  # p = 5's slices run last; main fills the store first
+            raise RuntimeError("planted")
+        return verify._eval_bm(p, item)
+    monkeypatch.setitem(verify.CHECKS, "bm", (verify._param_items, broken))
+    with pytest.raises(RuntimeError):
+        run_suite([5, 7], "all", jobs=jobs)
+    assert _held_caches() == {}
 
 
 def test_a_run_that_raises_leaves_no_record(monkeypatch):
@@ -572,7 +601,7 @@ def test_a_run_that_raises_leaves_no_record(monkeypatch):
     monkeypatch.setitem(verify.CHECKS, "bm", (verify._param_items, broken))
     with pytest.raises(RuntimeError):
         run_suite([5], ["main", "bm"])
-    assert verify._record.cache_info().currsize == 0 and verify._held_prime is None
+    assert verify._record.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p", [5, 7])
