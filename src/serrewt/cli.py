@@ -47,8 +47,8 @@ from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
 
 DEFAULT_MAX_P = 47
 # Bounds the primality loop, not the work: no suite finishes near it.  The
-# largest range measured, verify -p 101..199 --jobs 1, takes 110 s at a peak
-# RSS of 629 MB on 2 vCPUs; per prime, time and memory grow about as p^3.
+# largest range measured, verify -p 101..199 --jobs 1, takes 105 s at a peak
+# RSS of 426 MB on 2 vCPUs; per prime, time and memory grow about as p^3.
 MAX_RANGE_TOP = 10_000
 FORMATS = ("table", "json", "csv")
 

@@ -15,7 +15,7 @@ Two oracles, deliberately separate from the code they certify:
     the characters in Z[x]/Phi_(p^2-1)(x), on the cyclotomic polynomials
     below, and with a term-by-term count.  One clean run over
     N < 2(p^2-1) certifies every N >= 0: at N = r + k(p^2-1) each unit of
-    k adds one period of p-1 steps to _decompose's fold and p^2 - 1
+    k adds one period of p-1 steps to the fold _fold and p^2 - 1
     weights to Sym^N, so the residual is affine in k, and it
     vanishes at k = 0 and 1, hence at every k.
 
@@ -36,7 +36,7 @@ with p^2 elements is needed.
 verify_decomposition, the library's only Brauer path, lists no class's
 exponents.  Every p-regular element lies in the split torus F_p^* x F_p^*
 or the non-split torus F_(p^2)^*, so two multisets of weights (x, y)
-decide every class.  Sym^N, from N alone and never from _decompose, has
+decide every class.  Sym^N, from N alone and never from _fold, has
 the weights (j, N - j), j <= N; V(a, b) x mult has (a + t, a + b - 1 - t),
 t < b, each with weight -mult.  Their difference is counted by
 (x mod p-1, y mod p-1), as the class ((p+1)u, (p+1)v) lifts (x, y) to
@@ -69,8 +69,8 @@ Sym^N leaves empty and is seen there.  Both counts stay needed, since
 some faults show on one torus only.  A count on Z/L with no cyclic
 difference is constant, 1/L of the total, so a row is zero iff its
 differences and total are, and a passing N is decided on them alone, at
-O(p + #factors) for any N: about 0.005 ms per N at p = 13, 0.009 ms at
-p = 31 and 0.012 ms at p = 47 with decompositions cached (one core of a
+O(p + #factors) for any N: about 0.007 ms per N at p = 13, 0.014 ms at
+p = 31 and 0.019 ms at p = 47, its uncached fold included (one core of a
 2-vCPU x86 host).  Only a failing N rebuilds its cells, the prefix sums
 of the differences shifted to sum to the total, lists the nonzero ones
 once, and walks the classes, each reading the cells of its torus as the
@@ -86,7 +86,7 @@ from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantError
-from .weights import SerreWeight, _decompose, _least_k, _require_odd_prime
+from .weights import SerreWeight, _fold, _least_k, _require_odd_prime
 
 # ---------------------------------------------------------------------------
 # exact integer polynomials (little-endian coefficient tuples)
@@ -204,7 +204,7 @@ def _cells(diffs: List[int], total: int) -> List[int]:
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N) by the two torus counts above; a failure
     entry carries its class's p^2 - 1 counts of Sym^N minus the factors'."""
-    factors = _decompose(p, N)  # checks p and N
+    factors = _fold(p, N)  # checks p and N; each N is read once, so none is cached
     m, n, q = p - 1, p * p - 1, p + 1
     rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: split differences + total, non-split ones
     # V(a, b) x mult: a run of b cells of row c from split cell a and non-split

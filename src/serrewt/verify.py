@@ -49,7 +49,7 @@ aborting at the first, so one run documents the complete mismatch pattern.
 What a process holds.  Every slice starts and ends with empty caches:
 _eval_slice calls _release as it starts and, raised or not, as it ends,
 at any worker count.  _release empties the decomposition cache
-(weights._decompose), its step tables (weights._period, at most p-1), the
+(weights._decompose), its key lists (weights._period, at most p-1), the
 scan memo (weights._least_k), the record store and the Brauer class lists
 (oracle.p_regular_classes), so an idle pool worker holds nothing.  A
 process keeps no item list after its slice; a cut prime's lists and
@@ -62,8 +62,9 @@ from a store of at most p records, emptied after every chunk and by _release.
 Within a slice, after every p items, a cache holding more than
 p^2 + 4p decompositions is emptied; an item reads at most four, so a
 process never holds more than p^2 + 8p.  The scans of main and kmin read
-only N < p^2 and never reach that bound.  brauer reads each N once, so
-emptying costs it nothing.  recursion lists its lemma items k-major (k,
+only N < p^2 and never reach that bound.  brauer reads each N once, from
+the uncached fold weights._fold, so it holds no decomposition (a peak RSS
+of 18 MB at p = 127).  recursion lists its lemma items k-major (k,
 then n), so the Sym index n + k(p-1) of a lemma item is read again as the
 twisted term of the lemma item p + 1 places later ((n+2, k+1) for
 n < p-2).  An emptying drops only what the last few items read: recursion
@@ -86,7 +87,7 @@ from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
 from .recipes import serre_k
-from .weights import _k_min, _least_k, is_odd_prime, sym_class
+from .weights import _class, _k_min, _least_k, _twisted, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
@@ -150,23 +151,22 @@ def _recursion_items(p: int) -> List[Tuple[str, int, int]]:
 def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, object]]:
     kind, n, k = item
     if kind == "lemma":
-        lhs = sym_class(p, n + k * (p - 1))
-        # one dict: twist builds a fresh one, and Sym^n and V(n mod p-1, p-n)
-        # are added into it in place, never into a cached decomposition; every
-        # term is effective (its Sym index is >= -1), so no sum is zero
-        rhs = sym_class(p, n + (k - 1) * (p - 1) - 2).twist(1)
-        out, get = rhs._coeffs, rhs._coeffs.get
-        for key, c in [*sym_class(p, n)._coeffs.items(), ((n % (p - 1), p - n), 1)]:
-            out[key] = get(key, 0) + c
+        # dicts of the module's fold, so a patched one applies: Sym^n and
+        # V(n mod p-1, p-n) are added in place into the twist's fresh dict
+        # (empty at index -1); every term is effective, so no sum is zero
+        fold, m = weights._decompose, n + (k - 1) * (p - 1) - 2
+        lhs, rhs = fold(p, n + k * (p - 1)), _twisted(p, fold(p, m), 1) if m >= 0 else {}
+        for key, c in [*fold(p, n).items(), ((n % (p - 1), p - n), 1)]:
+            rhs[key] = rhs.get(key, 0) + c
     else:
-        lhs = sym_class(p, n + p - 1) - sym_class(p, n)
-        rhs = (sym_class(p, n - 2) - sym_class(p, n - p - 1)).twist(1)
+        lhs = (sym_class(p, n + p - 1) - sym_class(p, n))._coeffs
+        rhs = (sym_class(p, n - 2) - sym_class(p, n - p - 1)).twist(1)._coeffs
     if lhs == rhs:
         return None
     return {
         "param": {"identity": kind, "n": n, "k": k},
-        "expected": rhs.to_json_obj(),
-        "actual": lhs.to_json_obj(),
+        "expected": _class(p, rhs).to_json_obj(),
+        "actual": _class(p, lhs).to_json_obj(),
     }
 
 

@@ -30,15 +30,15 @@ that hands weights out (VirtualClass.items, bdj_weight_set, bm_set).
 A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
-cached decomposition dict itself, and nothing mutates a stored dict.
-Three unbounded caches live here: _decompose; _period, the fold's step
-tables, each the 2(p-1) keys of one period of steps and their counts, at
-most p-1 residues per prime, read only when (N+1)//(p+1) >= p-1 and run
-from the step formula, never twisted from another residue's table (the
-recursion check would then read its own identity back); and _least_k, the
-memo of the scans behind k_cris and k_min_search.  When the suite runner
-empties them is stated once, in serrewt.verify's "What a process holds";
-a class built from a cached dict keeps it alive after the cache is emptied.
+cached decomposition dict itself, and no stored decomposition is mutated.
+Three unbounded caches live here: _decompose, which caches the fold _fold;
+_period, the step keys of each residue N mod p-1, grown in place as far as
+the N folded need, to one whole period and its counts, and shared by their
+decompositions (run from the step formula, never twisted from another
+residue's: the recursion check would then read its own identity back); and
+_least_k, the memo of the scans behind k_cris and k_min_search.  When the
+suite runner empties them is stated once, in serrewt.verify's "What a process
+holds"; a class built from a cached dict keeps it alive after it is emptied.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
 trivial on GL2(F_p), so V(a, b) and V(a + p - 1, b) are the same weight.
 All arithmetic is exact (Python integers).
@@ -186,8 +186,7 @@ class VirtualClass:
 
     def twist(self, t: int) -> "VirtualClass":
         """Tensor by det^t (a bijection on weights, so coefficients move)."""
-        q = self.p - 1
-        return _class(self.p, {((a + t) % q, b): c for (a, b), c in self._coeffs.items()})
+        return _class(self.p, _twisted(self.p, self._coeffs, t))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualClass):
@@ -204,6 +203,11 @@ class VirtualClass:
         return f"VirtualClass(p={self.p}, {body})"
 
 
+def _twisted(p: int, coeffs: Mapping[Tuple[int, int], int], t: int) -> Dict[Tuple[int, int], int]:
+    """A fresh dict of coeffs tensored by det^t at p."""
+    return {((a + t) % (p - 1), b): c for (a, b), c in coeffs.items()}
+
+
 def _class(p: int, coeffs: Dict[Tuple[int, int], int]) -> VirtualClass:
     """VirtualClass(p, coeffs) for keys that are weights at p by construction,
     unchecked; takes ownership of coeffs, which must hold no zero value."""
@@ -212,14 +216,14 @@ def _class(p: int, coeffs: Dict[Tuple[int, int], int]) -> VirtualClass:
     return out
 
 
-def _steps(p: int, N: int, count: int) -> Iterator[Tuple[int, int]]:
-    """The two keys of each of the first `count` <= p-1 peeling steps of
+def _steps(p: int, N: int, start: int, stop: int) -> Iterator[Tuple[int, int]]:
+    """The two keys of each peeling step t in [start, stop), stop <= p-1, of
     Sym^N.  Step t peels det^t (x) ([S_n] + [det^n (x) S_(p-n-1)]) off
     det^t (x) Sym^M, M = N - t(p+1) >= p, n = ((M-1) mod p-1) + 1, and
     leaves det^(t+1) (x) Sym^(M-p-1); the keys depend on N mod p-1 alone."""
     q = p - 1
-    m = (N - 1) % q  # n - 1; M falls by p + 1 = 2 mod p-1 a step
-    for t in range(count):
+    m = (N - 1 - 2 * start) % q  # n - 1; M falls by p + 1 = 2 mod p-1 a step
+    for t in range(start, stop):
         yield (t, m + 2)
         yield ((m + 1 + t) % q, q - m)
         m = (m - 2) % q
@@ -227,38 +231,37 @@ def _steps(p: int, N: int, count: int) -> Iterator[Tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _period(p: int, r: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
-    """The step table of N = r mod p-1: the 2(p-1) keys of one whole period
-    of steps in step order (a list: tuple() of a generator grows by resizing,
-    which fills the interpreter's tuple free lists), and their counts.  Run
-    from the step formula, never twisted from another residue's table."""
-    keys = list(_steps(p, r, p - 1))
-    counts: Dict[Tuple[int, int], int] = {}
-    _count_elements(counts, keys)
-    return keys, counts
+    """The step keys of N = r mod p-1 in step order, and their counts.  _fold
+    grows the list in place, as far as the N it folds needs, to one whole
+    period, and fills the counts once it is whole; no entry holds half a
+    step, or a whole period without counts.  Run from the step formula."""
+    return [], {}
 
 
-@lru_cache(maxsize=None)
-def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
-    """Cached Jordan-Holder factors of Sym^N as {(a, b): mult}, in O(p)
-    steps for every N; callers must not mutate.  An entry stays until
-    cache_clear() (see the module docstring).  The S = (N+1)//(p+1) steps
-    repeat with period p-1: for S >= p-1 the result is reps times the table
-    _period(p, N mod p-1) plus its first `extra` steps, (reps, extra) =
-    divmod(S, p-1); a part period counts its S steps and builds no table.
-    Only additions occur, so the result is effective by construction."""
+def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
+    """Jordan-Holder factors of Sym^N as {(a, b): mult}, in O(p) steps for
+    every N.  The S = (N+1)//(p+1) steps repeat with period p-1: the result
+    is reps times the counts of _period(p, N mod p-1) plus the keys of its
+    first `extra` steps, (reps, extra) = divmod(S, p-1), so it holds the
+    list's own key tuples.  Only additions occur, so the result is effective
+    by construction.  _decompose caches it; callers must not mutate."""
     _require_odd_prime(p)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     q = p - 1
     S = (N + 1) // (p + 1)
-    if S < q:
-        factors: Dict[Tuple[int, int], int] = {}
-        _count_elements(factors, _steps(p, N, S))
-    else:
-        keys, counts = _period(p, N % q)
-        reps, extra = divmod(S, q)
-        factors = dict(counts) if reps == 1 else {key: reps * c for key, c in counts.items()}
-        _count_elements(factors, islice(keys, 2 * extra))  # no sliced copy
+    keys, counts = _period(p, N % q)
+    if not counts and len(keys) < 2 * S:  # the list is short of a whole period and of N
+        try:
+            keys.extend(_steps(p, N, len(keys) // 2, min(S, q)))
+            if S >= q:
+                _count_elements(counts, keys)
+        except BaseException:
+            _period.cache_clear()  # no entry keeps a half-grown list
+            raise
+    reps, extra = divmod(S, q)
+    factors = dict(counts) if reps == 1 else {key: reps * c for key, c in counts.items()} if reps else {}
+    _count_elements(factors, islice(keys, 2 * extra))  # no sliced copy
     M = N - S * (p + 1)
     if M >= 0:
         key = (S % q, M + 1)
@@ -266,6 +269,9 @@ def _decompose(p: int, N: int) -> Dict[Tuple[int, int], int]:
     if sum(c * b for (_, b), c in factors.items()) != N + 1:
         raise InternalInvariantError(f"factors of Sym^{N} at p={p} do not add up to dimension N+1")
     return factors
+
+
+_decompose = lru_cache(maxsize=None)(_fold)  # an entry stays until cache_clear()
 
 
 Weights = Tuple[Tuple[Tuple[int, int], int], ...]  # ((a, b), c), ... in mu_support order

@@ -28,19 +28,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+def _cap_address_space(cap):
+    resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
 
-def run_capped(*argv):
-    """The CLI on argv in a fresh process capped at 1 GiB of address space
-    and 10 s, so that a large-p regression fails fast instead of exhausting
-    the machine's memory.  Returns (code, stdout, stderr, wall seconds)."""
+def run_capped(*argv, cap=1 << 30):
+    """The CLI on argv in a fresh process capped at `cap` bytes of address
+    space (1 GiB by default) and 10 s, so that a large-p regression fails
+    fast instead of exhausting the machine's memory; the cap is set in the
+    child only.  Returns (code, stdout, stderr, wall seconds)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "serrewt.cli", *argv], capture_output=True, text=True,
-                          timeout=10, env=env, preexec_fn=_cap_address_space)
+                          timeout=10, env=env, preexec_fn=lambda: _cap_address_space(cap))
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
@@ -145,6 +146,15 @@ def test_kmin_search_21_digit_prime():
     code, out, err, seconds = run_capped("kmin", "-p", BIG_P, "-a", "0", "-b", "1", "--search")
     assert (code, out, err) == (0, "2, 2, match\n", "")
     assert seconds < 1
+
+
+def test_lone_scan_at_p_2003_fits_384_mib():
+    # the scan reads each of about p+1 Sym^N once, and every decomposition
+    # holds its residue's shared key tuples, not copies of its own
+    code, out, err, _ = run_capped("kmin", "-p", "2003", "-a", "2001", "-b", "2003", "--search",
+                                   "--format", "json", cap=384 << 20)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["match"] is True
 
 
 def test_kmin_json(capsys):

@@ -13,8 +13,8 @@ library's behaviour with one rule changed; the checks that catch it:
   * kisin_mu: the tres ramifiee case (mu = 0 at n = 0) dropped (bm, main);
   * serre_k: the peu and tres values swapped (main);
   * _decompose: one factor of each Sym^N (N >= p-1) twisted by det,
-    patched wherever the library holds it, i.e. in weights, recipes and
-    oracle (recursion, main, kmin, brauer);
+    patched wherever the library holds it or the uncached fold _fold
+    behind it, i.e. in weights and oracle (recursion, main, kmin, brauer);
   * _normalize_level2, the unchecked normalization behind normalize_level2
     that kisin_mu calls: the exponent reduced modulo p^2 - 2, not p^2 - 1
     (bm);
@@ -190,8 +190,9 @@ MUTANTS = {
         {"main"},
     ),
     "decompose_one_factor": (
-        lambda mp: _patch_everywhere(
-            mp, weights._decompose, lru_cache(maxsize=None)(_decompose_one_factor_twisted)
+        lambda mp: (
+            _patch_everywhere(mp, weights._decompose, lru_cache(maxsize=None)(_decompose_one_factor_twisted)),
+            _patch_everywhere(mp, weights._fold, _decompose_one_factor_twisted),
         ),
         {"recursion", "main", "kmin", "brauer"},
     ),

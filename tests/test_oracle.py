@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import time
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -285,14 +284,14 @@ def _seeded_fault(p, N, factors):
 def _plant_wrong_factor(monkeypatch, fault=_twist_least):
     """Give the oracle a faulty decomposition: by default one factor
     twisted by det, so the claimed dimensions still add up to N + 1."""
-    correct = _decompose.__wrapped__
+    correct = weights._fold
 
     def faulty(p, N):
         factors = dict(correct(p, N))
         fault(p, N, factors)
         return factors
 
-    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(faulty))
+    monkeypatch.setattr(oracle, "_fold", faulty)
 
 
 def test_brauer_failure_names_its_class(monkeypatch, capsys):
@@ -366,7 +365,7 @@ def test_brauer_failures_match_ring_reference(monkeypatch, p):
     _plant_wrong_factor(monkeypatch)
     n = p * p - 1
     for N in range(3 * p + 1):
-        factors = oracle._decompose(p, N)
+        factors = oracle._fold(p, N)
         flagged = set()
         for c in p_regular_classes(p):
             rhs = cyclo_zero(n)
@@ -405,7 +404,7 @@ def _failures_are_the_nonzero_dense_rows(monkeypatch, p, fault):
     _plant_wrong_factor(monkeypatch, fault)
     seen = set()
     for N in range(3 * p * p + 1):
-        factors = oracle._decompose(p, N)
+        factors = oracle._fold(p, N)
         expected = []
         tori = [False, False]
         for c in p_regular_classes(p):
@@ -462,7 +461,7 @@ def test_run_length_decision_matches_dense_count(monkeypatch, p):
     classes = p_regular_classes(p)
     for N in range(3 * p * p + 1):
         for i, claimed in enumerate(_planted_faults(p, N, _decompose(p, N))):
-            monkeypatch.setattr(oracle, "_decompose", lambda p, N: claimed)
+            monkeypatch.setattr(oracle, "_fold", lambda p, N: claimed)
             dense = all(not any(dense_residual(p, N, claimed, c)) for c in classes)
             assert verify_decomposition(p, N).passed == dense == (i == 0), (p, N, i)
 
@@ -515,7 +514,7 @@ def test_out_of_range_factors_match_the_dense_count(monkeypatch, p):
     decided = set()
     for N in range(3 * p * p + 1):
         for claimed, passes in _out_of_range_claims(p, N, _decompose(p, N)):
-            monkeypatch.setattr(oracle, "_decompose", lambda p, N: claimed)
+            monkeypatch.setattr(oracle, "_fold", lambda p, N: claimed)
             expected = []
             for c in classes:
                 row = dense_residual(p, N, claimed, c)
@@ -566,7 +565,7 @@ def test_verify_decomposition_at_huge_n(monkeypatch):
 def test_brauer_sym_side_ignores_decompose(monkeypatch):
     # the Sym^N side comes from class exponents alone: with no claimed
     # factors, every class must fail
-    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(lambda p, N: {}))
+    monkeypatch.setattr(oracle, "_fold", lambda p, N: {})
     classes = {repr(c) for c in p_regular_classes(5)}
     for N in range(16):
         report = verify_decomposition(5, N)

@@ -6,7 +6,6 @@ import hashlib
 import json
 import time
 from collections import Counter
-from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -405,6 +404,22 @@ def test_worker_slices_start_and_end_empty(spy):
     assert spy.foreign == []
 
 
+@pytest.mark.parametrize("p", [5, 13])
+def test_brauer_holds_no_decomposition(monkeypatch, p):
+    # brauer reads each N once, through the uncached fold, so the
+    # decomposition cache is empty at every N it certifies
+    readings, certify = [], oracle.verify_decomposition
+
+    def reading(p, N):
+        report = certify(p, N)
+        readings.append(weights._decompose.cache_info().currsize)
+        return report
+
+    _patch_everywhere(monkeypatch, certify, reading)
+    assert run_suite([p], ["brauer"])["pass"]
+    assert len(readings) == 3 * p * p + 1 and set(readings) == {0}
+
+
 def test_recursion_leaves_every_cached_decomposition_as_folded(spy):
     # the lemma's right side is summed in place into the twist's fresh dict;
     # every dict the cache held must still equal a fresh fold of its N
@@ -570,7 +585,7 @@ def test_a_run_leaves_every_library_cache_empty(monkeypatch):
     assert run_suite([5, 7], "all", jobs=1)["pass"]
     assert _held_caches() == {}
     # a failing N lists p = 5's classes, which the slice drops as it ends
-    monkeypatch.setattr(oracle, "_decompose", lru_cache(maxsize=None)(_decompose_one_factor_twisted))
+    monkeypatch.setattr(oracle, "_fold", _decompose_one_factor_twisted)
     assert not run_suite([5], ["brauer"], jobs=1)["pass"]
     assert _held_caches() == {}
 

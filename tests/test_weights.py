@@ -1,6 +1,7 @@
 """Tests for Serre weights, symmetric-power decomposition and k_min."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -245,7 +246,7 @@ def _check_fold(p, N, expected):
     factors = _decompose.__wrapped__(p, N)
     assert type(factors) is dict and 0 not in factors.values(), (p, N)
     assert factors == expected, (p, N)
-    if (N + 1) // (p + 1) >= p - 1:  # a whole period: read from a step table
+    if (N + 1) // (p + 1) >= p - 1:  # a whole period: a copy of the residue's counts, never them
         assert factors is not weights._period(p, N % (p - 1))[1], (p, N)
 
 
@@ -269,16 +270,65 @@ def test_step_tables_match_the_peeling_loop(p):
 
 
 def test_a_part_period_builds_no_table():
-    # below (N+1)//(p+1) = p-1 the steps are counted directly, so a cold
-    # residue costs no more steps than the N itself has
+    # a residue's key list grows only as far as the N folded needs, so a
+    # cold residue costs no more steps than the N itself has; its counts
+    # (the table) are filled only once the list holds a whole period
     big = 100000000000000000039  # a 21-digit prime
     weights._period.cache_clear()
     assert _decompose.__wrapped__(big, 3 * (big + 1) + 4) == decompose_loop(big, 3 * (big + 1) + 4)
+    keys, counts = weights._period(big, (3 * (big + 1) + 4) % (big - 1))
+    assert (len(keys), counts) == (6, {})  # S = 3 steps
     for p in (5, 47):
+        weights._period.cache_clear()
         _decompose.__wrapped__(p, p * p - 3)  # p-2 steps
-        assert weights._period.cache_info().currsize == 0
-    _decompose.__wrapped__(47, 47 * 47 - 2)  # p-1 steps, one whole period
-    assert weights._period.cache_info().currsize == 1
+        assert weights._period.cache_info().currsize == 1
+        keys, counts = weights._period(p, (p * p - 3) % (p - 1))
+        assert (len(keys), counts) == (2 * (p - 2), {})
+        weights._period.cache_clear()
+        _decompose.__wrapped__(p, p * p - 2)  # p-1 steps, one whole period
+        assert weights._period.cache_info().currsize == 1
+        keys, counts = weights._period(p, (p * p - 2) % (p - 1))
+        assert len(keys) == 2 * (p - 1) and counts == Counter(keys)
+    weights._period.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 13, 47])
+def test_decompositions_share_their_residues_key_tuples(p):
+    # every key but the remainder's (S mod p-1, M+1) is the very tuple the
+    # residue's list holds, in part and in whole periods
+    _decompose.cache_clear()
+    weights._period.cache_clear()
+    for N in [*range(0, 3 * (p * p - 1), 7), 10**9 + 3]:
+        S = (N + 1) // (p + 1)
+        factors = _decompose(p, N)
+        held = {id(key) for key in weights._period(p, N % (p - 1))[0]}
+        remainder = (S % (p - 1), N - S * (p + 1) + 1)
+        for key in factors:
+            assert id(key) in held or key == remainder, (p, N, key)
+    _decompose.cache_clear()
+    weights._period.cache_clear()
+
+
+def test_an_interrupted_extension_leaves_no_half_list(monkeypatch):
+    # a _steps that raises part-way through growing a list must leave no
+    # entry that a later fold would read as grown
+    steps = weights._steps
+
+    def failing(p, N, start, stop):
+        for i, key in enumerate(steps(p, N, start, stop)):
+            if i == 5:
+                raise MemoryError
+            yield key
+
+    for p, N in [(13, 100), (13, 13 * 13 - 2), (47, 47 * 47 + 500), (47, 10**6)]:
+        weights._period.cache_clear()
+        _decompose.__wrapped__(p, p + 1 + N % (p - 1))  # one step already grown
+        monkeypatch.setattr(weights, "_steps", failing)
+        with pytest.raises(MemoryError):
+            _decompose.__wrapped__(p, N)
+        monkeypatch.setattr(weights, "_steps", steps)
+        assert _decompose.__wrapped__(p, N) == decompose_loop(p, N), (p, N)
+        assert _decompose.__wrapped__(p, N + p * p - 1) == decompose_loop(p, N + p * p - 1), (p, N)
     weights._period.cache_clear()
 
 
