@@ -54,7 +54,7 @@ class Irreducible:
 
     def __post_init__(self) -> None:
         _require_odd_prime(self.p)
-        if not 0 <= self.a < self.b <= self.p - 1:
+        if not (isinstance(self.a, int) and isinstance(self.b, int) and 0 <= self.a < self.b <= self.p - 1):
             raise ParamError(
                 f"irreducible parameter needs 0 <= a < b <= p-1, got ({self.a}, {self.b})"
             )
@@ -78,9 +78,9 @@ class Reducible:
 
     def __post_init__(self) -> None:
         _require_odd_prime(self.p)
-        if not 0 <= self.twist <= self.p - 2:
+        if not (isinstance(self.twist, int) and 0 <= self.twist <= self.p - 2):
             raise ParamError(f"twist {self.twist} outside [0, {self.p - 2}]")
-        if not 0 <= self.ratio <= self.p - 2:
+        if not (isinstance(self.ratio, int) and 0 <= self.ratio <= self.p - 2):
             raise ParamError(f"ratio {self.ratio} outside [0, {self.p - 2}]")
         if self.shape not in SHAPES:
             raise ParamError(f"unknown shape {self.shape!r}")

@@ -74,8 +74,8 @@ p = 31 and 0.019 ms at p = 47, its uncached fold included (one core of a
 2-vCPU x86 host).  Only a failing N rebuilds its cells, the prefix sums
 of the differences shifted to sum to the total, lists the nonzero ones
 once, and walks the classes, each reading the cells of its torus as the
-keys they relabel; a passing N never lists the classes, so
-p_regular_classes's cache holds only primes with a failing N.
+keys they relabel.  A failing N lists the classes afresh; a passing N
+never lists them.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def _phi_degree(n: int) -> int:
 # p-regular classes as eigenvalue-exponent pairs
 
 
-@lru_cache(maxsize=None)
 def p_regular_classes(p: int) -> Tuple[Tuple[int, int], ...]:
     """Conjugacy classes of p-regular elements of GL2(F_p), each as the
     exponents (i, i') of its Teichmuller-lifted eigenvalues zeta^i, zeta^i'.

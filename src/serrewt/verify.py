@@ -50,12 +50,11 @@ What a process holds.  Every slice starts and ends with empty caches:
 _eval_slice calls _release as it starts and, raised or not, as it ends,
 at any worker count.  _release empties the decomposition cache
 (weights._decompose), its key lists (weights._period, at most p-1), the
-scan memo (weights._least_k), the record store and the Brauer class lists
-(oracle.p_regular_classes), so an idle pool worker holds nothing.  A
-process keeps no item list after its slice; a cut prime's lists and
-decompositions are built once per part, and a prime listed twice runs
-once and is reported twice.  main's k_cris and
-kmin's scan of ((a, b), 1) read the one memo, so each distinct weight tuple
+scan memo (weights._least_k) and the record store (_record), so an idle
+pool worker holds nothing.  A process keeps no item list after its
+slice; a cut prime's lists and decompositions are built once per part,
+and a prime listed twice runs once and is reported twice.  main's k_cris
+and kmin's scan of ((a, b), 1) read the one memo, so each distinct weight tuple
 is scanned once: 1,708 scans at p = 29 where one per item made 4,382, and
 4,462 at p = 47.  main and bm read one recipes._record per parameter
 from a store of at most p records, emptied after every chunk and by _release.
@@ -82,7 +81,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import oracle, recipes, weights
+from . import recipes, weights
 from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
@@ -200,16 +199,13 @@ CHECKS = {
     "brauer": (lambda p: range(3 * p * p + 1), _eval_brauer),
 }
 
-_clear_classes = oracle.p_regular_classes.cache_clear  # bound at import: bench/tracer.py wraps the name
-
-
 def _release() -> None:
-    """Empty every cache a slice fills, as the weights names are bound now."""
+    """Empty the four caches a slice fills: the record store and weights's
+    _decompose, _period and _least_k, as the weights names are bound now."""
     _record.cache_clear()
     weights._decompose.cache_clear()
     weights._period.cache_clear()
     weights._least_k.cache_clear()
-    _clear_classes()
 
 
 def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float, int]]:

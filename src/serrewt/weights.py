@@ -62,13 +62,13 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_odd_prime(n: int) -> bool:
-    """True iff n is a prime other than 2.
+    """True iff n is an int and a prime other than 2.
 
     Trial division below 2^18, where it is the faster test, deterministic
     Miller-Rabin up to _MR_BOUND; a larger n raises UnsupportedPrimeError
     rather than get an unproven answer.
     """
-    if n < 3 or n % 2 == 0:
+    if not isinstance(n, int) or n < 3 or n % 2 == 0:
         return False
     if n < 1 << 18:
         d = 3
@@ -106,9 +106,9 @@ def _require_odd_prime(p: int) -> None:
 
 
 def _require_weight_range(p: int, a: int, b: int) -> None:
-    if not 0 <= a <= p - 2:
+    if not (isinstance(a, int) and 0 <= a <= p - 2):
         raise ValueError(f"twist exponent a={a} outside [0, {p - 2}]")
-    if not 1 <= b <= p:
+    if not (isinstance(b, int) and 1 <= b <= p):
         raise ValueError(f"dimension parameter b={b} outside [1, {p}]")
 
 
@@ -246,7 +246,7 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     list's own key tuples.  Only additions occur, so the result is effective
     by construction.  _decompose caches it; callers must not mutate."""
     _require_odd_prime(p)
-    if N < 0:
+    if not isinstance(N, int) or N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     q = p - 1
     S = (N + 1) // (p + 1)
@@ -271,7 +271,7 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     return factors
 
 
-_decompose = lru_cache(maxsize=None)(_fold)  # an entry stays until cache_clear()
+_decompose = lru_cache(maxsize=None, typed=True)(_fold)  # typed: N = 7.0 must reach _fold, not hit 7
 
 
 Weights = Tuple[Tuple[Tuple[int, int], int], ...]  # ((a, b), c), ... in mu_support order

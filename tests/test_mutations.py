@@ -18,9 +18,11 @@ library's behaviour with one rule changed; the checks that catch it:
   * _normalize_level2, the unchecked normalization behind normalize_level2
     that kisin_mu calls: the exponent reduced modulo p^2 - 2, not p^2 - 1
     (bm);
-  * VirtualClass.twist: the exponent a + t left unreduced modulo p-1
-    (recursion).  Derived classes are built without checking their keys,
-    so the fault is reported as failed items, not raised as ValueError;
+  * _twisted, the det twist that VirtualClass.twist and the recursion
+    lemma items share: the exponent a + t left unreduced modulo p-1,
+    patched wherever the library holds it (recursion).  Derived classes
+    are built without checking their keys, so the fault is reported as
+    failed items, not raised as ValueError;
   * kisin_mu: every mu at n <= p-3 doubled (bm, by its Fontaine-Laffaille
     bound mu <= 1 there; B(rho) and k_cris read only whether mu > 0);
   * _bm_weights, the B weights of the record that weight_report, main and
@@ -163,8 +165,8 @@ def _bm_weights_b_shifted(param):
     return tuple(((m, min(n + 2, p)), mu) for n, m, mu in recipes.mu_support(param))  # fault: was n + 1
 
 
-def _twist_unreduced(self, t):
-    return weights._class(self.p, {(a + t, b): c for (a, b), c in self._coeffs.items()})  # fault: no % (p-1)
+def _twist_unreduced(p, coeffs, t):
+    return {(a + t, b): c for (a, b), c in coeffs.items()}  # fault: no % (p-1)
 
 
 # name -> (install(monkeypatch), checks that must report failures)
@@ -212,7 +214,7 @@ MUTANTS = {
         {"bm", "main"},
     ),
     "twist_unreduced": (
-        lambda mp: mp.setattr(weights.VirtualClass, "twist", _twist_unreduced),
+        lambda mp: _patch_everywhere(mp, weights._twisted, _twist_unreduced),
         {"recursion"},
     ),
 }

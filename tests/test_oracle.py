@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrewt import cli, oracle, verify, weights
+from serrewt import cli, oracle, weights
 from serrewt.oracle import (
     cyclotomic_poly,
     k_min_search,
@@ -583,20 +583,6 @@ def test_passing_n_visits_no_class(monkeypatch):
     report = verify_decomposition(47, 3 * 47**2)
     assert report.passed
     assert report.classes_checked == 2162
-
-
-def test_a_passing_brauer_run_caches_no_class_list(monkeypatch):
-    # a slice empties p_regular_classes's cache as it starts and ends; in a
-    # run that passes, no slice may fill it in between
-    release, seen = verify._release, []
-
-    def watched():
-        seen.append(p_regular_classes.cache_info().currsize)
-        release()
-    monkeypatch.setattr(verify, "_release", watched)
-    p_regular_classes.cache_clear()
-    assert run_suite([5, 7], ["brauer"])["pass"]
-    assert seen == [0, 0, 0, 0]  # two slices, each released twice
 
 
 def test_verify_decomposition_rejects_negative():

@@ -3,14 +3,17 @@
 import concurrent.futures
 import copy
 import hashlib
+import importlib
 import json
+import pkgutil
 import time
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from serrewt import oracle, recipes, verify, weights
+import serrewt
+from serrewt import cli, oracle, recipes, verify, weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.recipes import _bm_weights, weight_report
 from serrewt.verify import ALL_CHECKS, run_suite
@@ -262,6 +265,24 @@ def test_run_suite_builds_each_item_list_once(monkeypatch, in_process_pool):
     assert built == {**once, **{(name, 5): 2 for name in ALL_CHECKS}}
     assert built == Counter((name, p) for _, p, _, _ in in_process_pool.tasks for name in ALL_CHECKS)
     assert _strip_ms(serial) == _strip_ms(parallel)
+
+
+def test_a_prime_listed_twice_runs_once_and_is_reported_twice(monkeypatch):
+    # each (check, 5) item list is built once, and both of 5's reports are
+    # the one run, at any worker count
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    built = Counter()
+    for name, (items, ev) in list(verify.CHECKS.items()):
+        def counted(p, name=name, items=items):
+            built[name, p] += 1
+            return items(p)
+        monkeypatch.setitem(verify.CHECKS, name, (counted, ev))
+    serial = run_suite([5, 3, 5], ["kmin", "bm"], jobs=1)
+    assert built == {(name, p): 1 for name in ("kmin", "bm") for p in (3, 5)}
+    runs = serial["runs"]
+    assert [(run["p"], run["check"]) for run in runs] == [(p, name) for p in (5, 3, 5) for name in ("kmin", "bm")]
+    assert runs[:2] == runs[4:] and serial["pass"]
+    assert _strip_ms(serial) == _strip_ms(run_suite([5, 3, 5], ["kmin", "bm"], jobs=2))
 
 
 def test_run_suite_builds_items_one_check_at_a_time(monkeypatch):
@@ -568,15 +589,17 @@ def test_record_store_is_empty_after_a_run():
 
 
 def _held_caches():
-    """The library caches that hold entries, by name: every cache in the
-    weights, recipes and verify namespaces, found by its cache_info as the
-    bench's per-round clear finds them, and the Brauer class lists (named
-    alone, since other tests fill oracle's cyclotomic_poly)."""
-    caches = {f"{mod.__name__}.{name}": value for mod in (weights, recipes, verify)
-              for name, value in vars(mod).items() if hasattr(value, "cache_info")}
-    assert {"serrewt.weights._decompose", "serrewt.weights._period", "serrewt.weights._least_k",
-            "serrewt.verify._record"} <= set(caches)
-    caches["serrewt.oracle.p_regular_classes"] = oracle.p_regular_classes
+    """The library caches that hold entries, by name.  Every cache bound in
+    any serrewt module, found by its cache_info as the bench's per-round
+    clear finds them, must be one of the four that _release empties, except
+    oracle.cyclotomic_poly (the test reference, which other tests fill) and
+    cli._build_parser; so a cache added anywhere fails here until it is."""
+    modules = [serrewt, *(importlib.import_module(f"serrewt.{m.name}")
+                          for m in pkgutil.iter_modules(serrewt.__path__))]
+    found = {id(v) for mod in modules for v in vars(mod).values() if hasattr(v, "cache_info")}
+    caches = {"weights._decompose": weights._decompose, "weights._period": weights._period,
+              "weights._least_k": weights._least_k, "verify._record": verify._record}
+    assert found - {id(oracle.cyclotomic_poly), id(cli._build_parser)} == {id(c) for c in caches.values()}
     return {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize}
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from serrewt import weights
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.galois_params import enumerate_params
-from serrewt.recipes import _bm_weights
+from serrewt.galois_params import Irreducible, Reducible, enumerate_params, normalize_level2
+from serrewt.recipes import _bm_weights, serre_k
 from serrewt.verify import run_suite
 from serrewt.weights import (
     _MR_BOUND,
@@ -93,6 +93,37 @@ def test_weight_validation():
         W(9, 0, 1)  # not prime
     with pytest.raises(ValueError):
         W(2, 0, 1)  # even prime
+
+
+NON_INT_CALLS = {
+    "serre_k(Irreducible(5.0, 0, 1))": lambda: serre_k(Irreducible(5.0, 0, 1)),
+    "Irreducible(5, 0, 1.0)": lambda: Irreducible(5, 0, 1.0),
+    "Reducible(5, 1.0, 0, ...)": lambda: Reducible(5, 1.0, 0, "split", True),
+    "Reducible(5, 0, 0.5, ...)": lambda: Reducible(5, 0, 0.5, "split", True),
+    "k_min_closed(SerreWeight(5.0, 1, 2))": lambda: k_min_closed(SerreWeight(5.0, 1, 2)),
+    "normalize_level2(5.0, 7)": lambda: normalize_level2(5.0, 7),
+    "SerreWeight(5, 0.5, 1)": lambda: SerreWeight(5, 0.5, 1),
+    "SerreWeight(5, 1, 2.0)": lambda: SerreWeight(5, 1, 2.0),
+    "VirtualClass(7.5)": lambda: VirtualClass(7.5),
+    "VirtualClass(5, {(0.5, 1): 1})": lambda: VirtualClass(5, {(0.5, 1): 1}),
+    "run_suite([5.0])": lambda: run_suite([5.0]),
+    "enumerate_params(5.0)": lambda: enumerate_params(5.0),
+    "decompose_sym(5, 7.0)": lambda: decompose_sym(5, 7.0),
+    # 7.0 == 7, but it is not read from 7's cache entry
+    "sym_class(5, 7.0) after 7": lambda: (decompose_sym(5, 7), sym_class(5, 7.0)),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_CALLS)
+def test_a_non_int_is_rejected_as_a_value_error(name):
+    # every rejection is a ValueError; a float equal to an int is no int
+    with pytest.raises(ValueError):
+        NON_INT_CALLS[name]()
+
+
+@pytest.mark.parametrize("n", [7.5, 5.0])
+def test_is_odd_prime_of_a_non_int_is_false(n):
+    assert is_odd_prime(n) is False
 
 
 @pytest.mark.parametrize(
