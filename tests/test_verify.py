@@ -593,7 +593,8 @@ def _held_caches():
     any serrewt module, found by its cache_info as the bench's per-round
     clear finds them, must be one of the four that _release empties, except
     oracle.cyclotomic_poly (the test reference, which other tests fill) and
-    cli._build_parser; so a cache added anywhere fails here until it is."""
+    cli._build_parser; a cache added anywhere fails here until _release
+    empties it or this exclusion names it."""
     modules = [serrewt, *(importlib.import_module(f"serrewt.{m.name}")
                           for m in pkgutil.iter_modules(serrewt.__path__))]
     found = {id(v) for mod in modules for v in vars(mod).values() if hasattr(v, "cache_info")}
