@@ -104,9 +104,12 @@ def normalize_level2(p: int, e: int) -> Tuple[int, int]:
 
     The exponent e is taken modulo p^2 - 1.  Replacing e by pe (the
     Frobenius conjugate) gives the same answer.  Raises LevelOneError when
-    p+1 divides e, i.e. when the character has level 1.
+    p+1 divides e, i.e. when the character has level 1, and ParamError
+    when e is not an int.
     """
     _require_odd_prime(p)
+    if not isinstance(e, int):
+        raise ParamError(f"exponent e must be an int, got {e!r}")
     return _normalize_level2(p, e)
 
 
@@ -125,13 +128,6 @@ def _normalize_level2(p: int, e: int) -> Tuple[int, int]:
     return a, b
 
 
-def _record(cls, *values):
-    """cls(*values) for fields valid by construction, unchecked."""
-    out = object.__new__(cls)
-    out.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return out
-
-
 def enumerate_params(p: int) -> List[InertialParam]:
     """All inertial parameters at p, in a fixed documented order.
 
@@ -140,17 +136,22 @@ def enumerate_params(p: int) -> List[InertialParam]:
     Split followed by the non-split entries (Peu then Tres at the cell
     ratio=1 / lambda_equal, a single generic non-split entry elsewhere).
     Totals: p(p-1)/2 irreducible and (p-1)(4(p-1)+1) reducible records.
-    p is tested once, and the records are built unchecked.
+    p is tested once, and the records, valid by construction, are built
+    unchecked: each is filled through its __dict__, by field name.
     """
     _require_odd_prime(p)
-    out: List[InertialParam] = [
-        _record(Irreducible, p, a, b) for a in range(p - 1) for b in range(a + 1, p)
-    ]
+    new, out = object.__new__, []
+    for a in range(p - 1):
+        for b in range(a + 1, p):
+            out.append(rec := new(Irreducible))
+            rec.__dict__.update(p=p, a=a, b=b)
     for m in range(p - 1):
         for r in range(p - 1):
             for lam in (True, False):
                 nonsplit = (SHAPE_PEU, SHAPE_TRES) if r == 1 and lam else (SHAPE_NONSPLIT,)
-                out += [_record(Reducible, p, m, r, shape, lam) for shape in (SHAPE_SPLIT, *nonsplit)]
+                for shape in (SHAPE_SPLIT, *nonsplit):
+                    out.append(rec := new(Reducible))
+                    rec.__dict__.update(p=p, twist=m, ratio=r, shape=shape, lambda_equal=lam)
     return out
 
 

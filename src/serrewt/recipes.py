@@ -110,7 +110,7 @@ def _w_pairs(param: InertialParam) -> Tuple[Tuple[int, int], ...]:
     else:
         base = _weight_row(param)
         t = param.twist
-    pairs = sorted(((a + t) % (p - 1), b) for a, b in base)
+    pairs = sorted([((a + t) % (p - 1), b) for a, b in base])
     if len(set(pairs)) != len(pairs):
         raise InternalInvariantError(f"repeated weight in W(rho) for {param}")
     return tuple(pairs)
@@ -180,25 +180,19 @@ def _candidate_cells(param: InertialParam) -> List[Tuple[int, int]]:
     the cell-by-cell recipe is property-tested.
     """
     p = param.p
-    cells = set()
     if isinstance(param, Irreducible):
-        for e in (p * param.a + param.b, param.a + p * param.b):
-            mm, rem = divmod(e, p + 1)
-            cells.add((rem - 1, mm))
-        return sorted(cells)
-    q = p - 1
-    presentations = [(param.twist, param.ratio)]
-    if param.shape == SHAPE_SPLIT:
-        presentations.append(((param.twist + param.ratio) % q, (-param.ratio) % q))
-    for mm, rr in presentations:
-        if rr == 0:
-            ns = (p - 2,)
-        elif rr == 1:
-            ns = (0, p - 1)
-        else:
-            ns = (rr - 1,)
-        cells.update((n, mm) for n in ns)
-    return sorted(cells)
+        # the exponent pa + b and its conjugate a + pb: distinct, never = 0 mod p+1
+        m, n = divmod(p * param.a + param.b, p + 1)
+        m2, n2 = divmod(param.a + p * param.b, p + 1)
+        return [(n - 1, m), (n2 - 1, m2)] if (n, m) < (n2, m2) else [(n2 - 1, m2), (n - 1, m)]
+    # n + 1 = r mod p-1 at twist m: n = (r-1) mod p-1, and n = p-1 too when r = 1
+    q, m, r = p - 1, param.twist, param.ratio
+    cells = [(0, m), (p - 1, m)] if r == 1 else [((r - 1) % q, m)]
+    if param.shape != SHAPE_SPLIT:
+        return cells
+    m, r = (m + r) % q, -r % q  # the other ordering of the two characters
+    cells += [(0, m), (p - 1, m)] if r == 1 else [((r - 1) % q, m)]
+    return sorted(set(cells))
 
 
 def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
@@ -208,7 +202,7 @@ def mu_support(param: InertialParam) -> List[Tuple[int, int, int]]:
 
 def _bm_weights(param: InertialParam) -> Weights:
     """((m, n+1), mu) over the Breuil-Mezard support, in mu_support order."""
-    return tuple(((m, n + 1), mu) for n, m, mu in mu_support(param))
+    return tuple([((m, n + 1), mu) for n, m, mu in mu_support(param)])
 
 
 def _record(param: InertialParam) -> Tuple[Tuple[Tuple[int, int], ...], Weights]:
@@ -224,6 +218,8 @@ def bm_set(param: InertialParam) -> WeightSet:
 def bm_multiplicity(param: InertialParam, k: int) -> int:
     """Right-hand side of the Breuil-Mezard formula at trivial type:
     sum over (n, m) of (multiplicity of V(m, n+1) in Sym^(k-2)) * mu_(n,m)."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return _jh_sum(param.p, k - 2, _bm_weights(param))
@@ -243,7 +239,7 @@ def weight_report(param: InertialParam) -> Dict[str, object]:
     return {
         "param": param_to_dict(param),
         "k_serre": serre_k(param),
-        "k_min": min(_k_min(p, a, b) for a, b in w_pairs),
+        "k_min": min([_k_min(p, a, b) for a, b in w_pairs]),
         "k_cris": _least_k(p, bm_weights),
         "W": [{"a": a, "b": b} for a, b in w_pairs],
         "B": [{"a": a, "b": b} for (a, b), _ in sorted(bm_weights)],

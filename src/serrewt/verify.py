@@ -103,7 +103,7 @@ _record = functools.lru_cache(maxsize=None)(recipes._record)
 
 def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
     w_pairs, bm_weights = _record(param)
-    ks, km, kc = serre_k(param), min(_k_min(p, a, b) for a, b in w_pairs), _least_k(p, bm_weights)
+    ks, km, kc = serre_k(param), min([_k_min(p, a, b) for a, b in w_pairs]), _least_k(p, bm_weights)
     if ks == km == kc:
         return None
     return {
@@ -115,7 +115,7 @@ def _eval_main(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
 
 def _eval_bm(p: int, param: InertialParam) -> Optional[Dict[str, object]]:
     expected, bm_weights = _record(param)
-    actual = tuple(sorted(pair for pair, _ in bm_weights))
+    actual = tuple(sorted([pair for pair, _ in bm_weights]))
     if expected != actual:
         return {
             "param": param_to_dict(param),
@@ -155,8 +155,11 @@ def _eval_recursion(p: int, item: Tuple[str, int, int]) -> Optional[Dict[str, ob
         # (empty at index -1); every term is effective, so no sum is zero
         fold, m = weights._decompose, n + (k - 1) * (p - 1) - 2
         lhs, rhs = fold(p, n + k * (p - 1)), _twisted(p, fold(p, m), 1) if m >= 0 else {}
-        for key, c in [*fold(p, n).items(), ((n % (p - 1), p - n), 1)]:
-            rhs[key] = rhs.get(key, 0) + c
+        get = rhs.get
+        for key, c in fold(p, n).items():
+            rhs[key] = get(key, 0) + c
+        key = (n % (p - 1), p - n)
+        rhs[key] = get(key, 0) + 1
     else:
         lhs = (sym_class(p, n + p - 1) - sym_class(p, n))._coeffs
         rhs = (sym_class(p, n - 2) - sym_class(p, n - p - 1)).twist(1)._coeffs
@@ -233,7 +236,7 @@ def _eval_slice(args: Slice) -> List[Tuple[List[Dict[str, object]], float, int]]
             for lo in range(0, len(rows), p):
                 for i in group:
                     ev = CHECKS[names[i]][1]
-                    failures[i] += [f for f in (ev(p, item) for item in rows[lo:lo + p]) if f is not None]
+                    failures[i] += [f for item in rows[lo:lo + p] if (f := ev(p, item)) is not None]
                     now = time.perf_counter()
                     seconds[i], mark = seconds[i] + now - mark, now
                 _record.cache_clear()

@@ -294,14 +294,15 @@ def _least_k(p: int, weights: Weights) -> int:
     order; an exhausted scan raises InternalInvariantError.  Memoised, so
     like _decompose's cache it assumes _decompose never changes within a
     process; serrewt.verify's "What a process holds" says when both are emptied."""
-    residues = sorted({(2 * a + b - 1) % (p - 1) for (a, b), _ in weights})
-    for base in range(2, p * p + 1, p - 1):
+    q, top = p - 1, p * p - 2  # N = k - 2 <= p^2 - 2
+    residues = sorted({(2 * a + b - 1) % q for (a, b), _ in weights})
+    for base in range(0, top + 1, q):
         for r in residues:
-            k = base + r
-            if k > p * p:
+            N = base + r
+            if N > top:
                 break
-            if _jh_sum(p, k - 2, weights) > 0:
-                return k
+            if _jh_sum(p, N, weights) > 0:
+                return N + 2
     raise InternalInvariantError(f"no k <= p^2 at p={p} meets the weights {sorted(dict(weights))}")
 
 
@@ -322,8 +323,10 @@ def sym_class(p: int, N: int) -> VirtualClass:
     For N >= 0 this is the effective class of the actual representation;
     [Sym^(-1)] = 0, and [Sym^N] = -[det^(N+1) (x) Sym^(-N-2)] for N < -1.
     The resulting assignment satisfies the periodic relation at every
-    integer index.
+    integer index; a non-int N raises ValueError.
     """
+    if not isinstance(N, int):
+        raise ValueError(f"N must be an int, got {N!r}")
     if N == -1:
         return VirtualClass(p)  # checks p; every other N reaches _decompose, which does
     if N < -1:

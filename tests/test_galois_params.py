@@ -48,6 +48,13 @@ def test_normalize_level2_examples():
             normalize_level2(p, 7)
 
 
+@pytest.mark.parametrize("e", [7.0, 7.5, "7"])
+def test_normalize_level2_rejects_a_non_int_exponent(e):
+    # a float equal to an int is no int: 7.0 gave (1.0, 2.0) before e was checked
+    with pytest.raises(ParamError, match=f"^exponent e must be an int, got {e!r}$"):
+        normalize_level2(5, e)
+
+
 @given(p=st.sampled_from(PRIMES), e=st.integers(-3000, 3000))
 @settings(max_examples=200, deadline=None)
 def test_normalize_level2_frobenius_invariance(p, e):

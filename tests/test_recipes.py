@@ -251,7 +251,7 @@ def test_mu_index_validation():
         kisin_mu(q, 0, 4)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_mu_support_matches_full_scan(p):
     # the direct cell enumeration must agree with evaluating the recipe on
     # every cell of the table
@@ -260,6 +260,22 @@ def test_mu_support_matches_full_scan(p):
         for n in range(p):
             for m in range(p - 1):
                 assert kisin_mu(q, n, m) == support.get((n, m), 0), (q, n, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_candidate_cells_are_sorted_unique_cells_within_the_bound(p):
+    # each list is sorted and unique, inside [0, p-1] x [0, p-2], and as
+    # short as the docstring says: 2 cells at most, 4 for a split record
+    sizes = Counter()
+    for q in enumerate_params(p):
+        cells = recipes._candidate_cells(q)
+        assert cells == sorted(set(cells)), q
+        assert all(0 <= n <= p - 1 and 0 <= m <= p - 2 for n, m in cells), (q, cells)
+        split = isinstance(q, Reducible) and q.shape == SHAPE_SPLIT
+        assert 1 <= len(cells) <= (4 if split else 2), (q, cells)
+        sizes[split, len(cells)] += 1
+    # the bounds are reached: 4 split cells only at p = 3 (ratio 1, both orderings)
+    assert sizes[False, 2] and sizes[True, 4 if p == 3 else 3]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -321,8 +337,15 @@ def test_bm_multiplicity_at_weight_two():
 def test_bm_multiplicity_empty_intersection():
     q = Reducible(5, 2, 1, SHAPE_TRES, True)  # single weight V(2,5)
     assert bm_multiplicity(q, 4) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be >= 2, got 1$"):
         bm_multiplicity(q, 1)
+
+
+@pytest.mark.parametrize("k", [7.0, 1.5, "7"])
+def test_bm_multiplicity_names_a_non_int_k(k):
+    # 7.0 reached the fold as N = 5.0 and its message named neither k nor 7.0
+    with pytest.raises(ValueError, match=f"^k must be an int, got {k!r}$"):
+        bm_multiplicity(Irreducible(5, 0, 1), k)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -121,6 +121,14 @@ def test_a_non_int_is_rejected_as_a_value_error(name):
         NON_INT_CALLS[name]()
 
 
+@pytest.mark.parametrize("N", [-1.0, -3.0, 7.0, 2.5])
+def test_sym_class_names_a_non_int_index(N):
+    # checked before the N = -1 and N < -1 branches: -1.0 gave the zero
+    # class and -3.0 the fold's message about N = 1.0
+    with pytest.raises(ValueError, match=f"^N must be an int, got {N!r}$"):
+        sym_class(5, N)
+
+
 @pytest.mark.parametrize("n", [7.5, 5.0])
 def test_is_odd_prime_of_a_non_int_is_false(n):
     assert is_odd_prime(n) is False
