@@ -173,11 +173,12 @@ def kisin_mu(param: InertialParam, n: int, m: int) -> int:
 
 
 def _candidate_cells(param: InertialParam) -> List[Tuple[int, int]]:
-    """The (n, m) cells a parameter can match, from the congruences.
+    """The (n, m) cells a parameter can match, from the congruences, sorted
+    and without repeats.
 
     At most 2 cells for irreducible or non-split records and at most 4 for
     split ones; every cell outside this list has mu = 0.  Equivalence with
-    the cell-by-cell recipe is property-tested.
+    the cell-by-cell recipe, and these bounds, are tested.
     """
     p = param.p
     if isinstance(param, Irreducible):
