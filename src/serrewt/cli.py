@@ -18,10 +18,10 @@ counterexamples, 2 usage or schema errors (including p = 2 and I/O
 problems), 3 breached internal invariant.  The library is the only
 validator: a ValueError from any library call (ParamError, LevelOneError
 and UnsupportedPrimeError among them) or an OSError is a usage error and
-exits 2, and an InternalInvariantError exits 3.  Environment:
-SERREWT_JOBS, the default verify worker count; --jobs wins over it, and
-either is capped at os.cpu_count().  The coverage of each verify check is
-fixed by p (see serrewt.verify), and -p defaults to 3..47.
+exits 2, and an InternalInvariantError exits 3.  verify --jobs N runs at
+most N processes, capped at the CPUs this process may run on, whose number
+is also the default.  The coverage of each verify check is fixed by p (see
+serrewt.verify), and -p defaults to 3..47.
 
 Output is deterministic byte-for-byte for fixed inputs except for the "ms"
 timing fields of verification reports.
@@ -33,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +41,7 @@ from .errors import InternalInvariantError, UnsupportedPrimeError
 from .galois_params import enumerate_params, parse_param
 from .oracle import k_min_search
 from .recipes import weight_report
-from .verify import run_suite
+from .verify import _usable_cpus, run_suite
 from .weights import SerreWeight, decompose_sym, is_odd_prime, k_min_closed
 
 DEFAULT_MAX_P = 47
@@ -210,15 +209,7 @@ def _cmd_weights(args: argparse.Namespace) -> tuple:
 def _cmd_verify(args: argparse.Namespace) -> tuple:
     primes = _parse_prime_range(args.prime_range)
     checks = args.checks if args.checks == "all" else args.checks.split(",")
-    jobs = args.jobs
-    if jobs is None:
-        raw = os.environ.get("SERREWT_JOBS", str(os.cpu_count() or 1))
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"environment variable SERREWT_JOBS must be an integer, got {raw!r}") from None
-    aggregate = run_suite(primes, checks, jobs=jobs)
+    aggregate = run_suite(primes, checks, jobs=_usable_cpus() if args.jobs is None else args.jobs)
     runs = aggregate["runs"]
 
     def lines() -> List[str]:

@@ -25,11 +25,11 @@ and [2, 2p+3] holds two k of every residue.  [-2p, 4p] is less than one
 period of the periodic relation for p >= 7, so that check only samples
 it; its range is left as it is.
 
-run_suite is the only runner.  It caps `jobs` at os.cpu_count() and makes
-one task list of (checks, p, part, parts) slices, largest prime first (the
-work at p grows about as p^3; this is Graham's LPT rule).  A slice carries
-every selected check at p, and _eval_slice builds each item list at p
-itself, so the parent builds none.  Prime p is cut into
+run_suite is the only runner.  It caps `jobs` at the CPUs this process
+may run on and makes one task list of (checks, p, part, parts) slices,
+largest prime first (the work at p grows about as p^3; this is Graham's
+LPT rule).  A slice carries every selected check at p, and _eval_slice
+builds each item list at p itself, so the parent builds none.  Prime p is cut into
 min(p, round(jobs * p^3 / sum of q^3)) parts, at least 1: a prime is split
 only when it is at least 1.5/jobs of the work, so at jobs = 1 every slice
 is a whole prime, whose checks run in one process from one cache.  Every item list has at
@@ -202,6 +202,12 @@ CHECKS = {
     "brauer": (lambda p: range(3 * p * p + 1), _eval_brauer),
 }
 
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where there is one, else the host's."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _release() -> None:
     """Empty the four caches a slice fills: the record store and weights's
     _decompose, _period and _least_k, as the weights names are bound now."""
@@ -258,8 +264,9 @@ def run_suite(
     `checks` is "all" (the four standard checks), one name, or a list of
     names from main/bm/kmin/recursion/brauer; "all" is not a name, so a
     list containing it is rejected.  "brauer" runs only when named.
-    `jobs` above os.cpu_count() runs as the core count.  Raises ValueError
-    when no primes or no checks are given.  Returns the aggregate
+    `jobs` above the CPUs this process may run on runs as their number.
+    Raises ValueError when no primes or no checks are given, or when jobs
+    is not an int >= 1.  Returns the aggregate
     {"runs": [...], "pass": bool}; apart from the per-run "ms" field the
     aggregate depends only on (primes, checks).
     """
@@ -277,9 +284,11 @@ def run_suite(
             raise UnsupportedPrimeError("p = 2 is not supported; the recipes differ there")
         if not is_odd_prime(p):
             raise UnsupportedPrimeError(f"{p} is not an odd prime")
+    if not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)  # a fork pool starts every worker at once
+    jobs = min(jobs, _usable_cpus())  # a fork pool starts every worker at once
     # largest prime first, each cut into the nearest whole number of 1/jobs
     # shares of the summed p^3 work, at least 1 and at most p
     total = sum(q ** 3 for q in set(primes))

@@ -246,7 +246,9 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     list's own key tuples.  Only additions occur, so the result is effective
     by construction.  _decompose caches it; callers must not mutate."""
     _require_odd_prime(p)
-    if not isinstance(N, int) or N < 0:
+    if not isinstance(N, int):
+        raise ValueError(f"N must be an int, got {N!r}")
+    if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     q = p - 1
     S = (N + 1) // (p + 1)

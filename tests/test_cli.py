@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from serrewt import cli
+from serrewt import cli, verify
 from serrewt.cli import main
 from serrewt.galois_params import SHAPE_SPLIT, enumerate_params, param_to_dict
 
@@ -331,7 +331,7 @@ def test_verify_jobs_deterministic_json(capsys):
 def test_verify_a_real_pool_prints_as_one_process(capsys, monkeypatch):
     # one call that cuts 29 into two parts, run in two processes, and runs
     # 3 whole beside them
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a process pool even on one core
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # a process pool even on one CPU
     argv = ["verify", "-p", "3,29", "--checks", "main,bm,kmin,recursion,brauer", "--format", "json"]
     outs = []
     for jobs in ("1", "2"):
@@ -505,26 +505,15 @@ def test_default_max_p_sets_the_default_range(capsys, monkeypatch):
     assert primes == ["3", "5", "7"]
 
 
-def test_jobs_env_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("SERREWT_JOBS", "2")
-    code, out, _ = run(capsys, "verify", "-p", "5", "--checks", "main")
-    assert code == 0
+def test_verify_reads_no_worker_count_from_the_environment(capsys, monkeypatch):
+    # SERREWT_JOBS once set the default worker count; a value that is no
+    # int made this a usage error
+    monkeypatch.delenv("SERREWT_JOBS", raising=False)
+    argv = ("verify", "-p", "3", "--checks", "kmin")
+    code, out, err = run(capsys, *argv)
+    monkeypatch.setenv("SERREWT_JOBS", "x")
+    assert run(capsys, *argv) == (0, out, err) and (code, err) == (0, "")
     assert "PASS" in out
-
-
-def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SERREWT_JOBS", "many")
-    code, _, err = run(capsys, "verify", "-p", "3", "--checks", "main")
-    assert code == 2
-    assert "SERREWT_JOBS must be an integer" in err
-
-
-def test_jobs_env_below_one_is_usage_error(capsys, monkeypatch):
-    for value in ("0", "-1"):
-        monkeypatch.setenv("SERREWT_JOBS", value)
-        code, _, err = run(capsys, "verify", "-p", "3")
-        assert code == 2
-        assert "jobs must be >= 1" in err
 
 
 def test_verify_unwritable_out_path(capsys):
@@ -538,59 +527,56 @@ def test_verify_unwritable_out_path(capsys):
 
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
-# case -> (SERREWT_JOBS or None, argv): every one is a usage error
+# case -> argv: every one is a usage error
 USAGE_ERRORS = {
-    "decompose-bad-p": (None, ("decompose", "-p", "4", "-N", "1")),
-    "decompose-jobs-flag": (None, ("decompose", "-p", "5", "-N", "3", "--jobs", "2")),
-    "decompose-negative-n": (None, ("decompose", "-p", "5", "-N", "-1")),
-    "decompose-p-above-primality-bound": (None, ("decompose", "-p", str(PRIMALITY_BOUND + 2), "-N", "5")),
-    "kmin-bad-p": (None, ("kmin", "-p", "4", "-a", "0", "-b", "1")),
-    "kmin-bad-a": (None, ("kmin", "-p", "5", "-a", "4", "-b", "2")),
-    "table-bad-p": (None, ("table", "-p", "4")),
-    "table-p-above-limit": (None, ("table", "-p", "1000003")),
-    "weights-bad-p": (None, ("weights", '{"p":4,"type":"irreducible","a":0,"b":3}')),
-    "verify-two-in-list": (None, ("verify", "-p", "3,2")),
-    "verify-two-in-range": (None, ("verify", "-p", "2..5")),
-    "verify-composite-in-list": (None, ("verify", "-p", "9")),
-    "verify-reversed-range": (None, ("verify", "-p", "9..3")),
-    "verify-range-without-prime": (None, ("verify", "-p", "24..28")),
-    "verify-range-top-above-limit": (None, ("verify", "-p", "3..10000000000000")),
-    "verify-list-prime-above-limit": (None, ("verify", "-p", "10007", "--checks", "kmin")),
-    "verify-huge-prime-in-list": (None, ("verify", "-p", "100000000000000000039", "--checks", "main")),
-    "verify-empty-list-entry": (None, ("verify", "-p", "3,,5")),
-    "verify-malformed-prime": (None, ("verify", "-p", "abc")),
-    "verify-unknown-check": (None, ("verify", "-p", "5", "--checks", "nope")),
-    "verify-jobs-zero": (None, ("verify", "-p", "3", "--jobs", "0")),
-    "verify-jobs-env-not-int": ("x", ("verify", "-p", "3")),
-    "verify-unknown-flag": (None, ("verify", "-p", "3", "--bogus")),
-    "table-unwritable-out": (None, ("table", "-p", "3", "--out", "/nonexistent/dir/t.csv")),
+    "decompose-bad-p": ("decompose", "-p", "4", "-N", "1"),
+    "decompose-jobs-flag": ("decompose", "-p", "5", "-N", "3", "--jobs", "2"),
+    "decompose-negative-n": ("decompose", "-p", "5", "-N", "-1"),
+    "decompose-p-above-primality-bound": ("decompose", "-p", str(PRIMALITY_BOUND + 2), "-N", "5"),
+    "kmin-bad-p": ("kmin", "-p", "4", "-a", "0", "-b", "1"),
+    "kmin-bad-a": ("kmin", "-p", "5", "-a", "4", "-b", "2"),
+    "table-bad-p": ("table", "-p", "4"),
+    "table-p-above-limit": ("table", "-p", "1000003"),
+    "weights-bad-p": ("weights", '{"p":4,"type":"irreducible","a":0,"b":3}'),
+    "verify-two-in-list": ("verify", "-p", "3,2"),
+    "verify-two-in-range": ("verify", "-p", "2..5"),
+    "verify-composite-in-list": ("verify", "-p", "9"),
+    "verify-reversed-range": ("verify", "-p", "9..3"),
+    "verify-range-without-prime": ("verify", "-p", "24..28"),
+    "verify-range-top-above-limit": ("verify", "-p", "3..10000000000000"),
+    "verify-list-prime-above-limit": ("verify", "-p", "10007", "--checks", "kmin"),
+    "verify-huge-prime-in-list": ("verify", "-p", "100000000000000000039", "--checks", "main"),
+    "verify-empty-list-entry": ("verify", "-p", "3,,5"),
+    "verify-malformed-prime": ("verify", "-p", "abc"),
+    "verify-unknown-check": ("verify", "-p", "5", "--checks", "nope"),
+    "verify-jobs-zero": ("verify", "-p", "3", "--jobs", "0"),
+    "verify-jobs-negative": ("verify", "-p", "3", "--jobs", "-1"),
+    "verify-unknown-flag": ("verify", "-p", "3", "--bogus"),
+    "table-unwritable-out": ("table", "-p", "3", "--out", "/nonexistent/dir/t.csv"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
-def test_usage_error_is_one_stderr_line_and_exit_2(capsys, monkeypatch, case):
-    jobs_env, argv = USAGE_ERRORS[case]
-    if jobs_env is not None:
-        monkeypatch.setenv("SERREWT_JOBS", jobs_env)
-    code, out, err = run(capsys, *argv)
+def test_usage_error_is_one_stderr_line_and_exit_2(capsys, case):
+    code, out, err = run(capsys, *USAGE_ERRORS[case])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 
-# case -> {"env", "argv", "code", "stdout", "stderr"}: the exit code, stdout
+# case -> {"argv", "code", "stdout", "stderr"}: the exit code, stdout
 # and stderr, byte for byte, of every USAGE_ERRORS case and of the argv
 # forms argparse treats specially: --format=json, -p5, an abbreviated flag,
 # a repeated flag, a -- separator, a negative value, a missing value, an
 # unknown command, no arguments, an option before the command and each
 # command's --help.  Recorded before main handed a command's arguments to
-# that command's parser alone.  "env" is SERREWT_JOBS or null.  Help is
-# formatted at 200 columns, where CPython 3.10 to 3.13 print the same bytes.
+# that command's parser alone.  Help is formatted at 200 columns, where
+# CPython 3.10 to 3.13 print the same bytes.
 USAGE_BYTES = json.loads((Path(__file__).parent / "cli_usage_bytes.json").read_text(encoding="utf-8"))
 
 
 def test_usage_bytes_cover_every_usage_error():
-    pinned = {case: (USAGE_BYTES[case]["env"], tuple(USAGE_BYTES[case]["argv"])) for case in USAGE_ERRORS}
+    pinned = {case: tuple(USAGE_BYTES[case]["argv"]) for case in USAGE_ERRORS}
     assert pinned == USAGE_ERRORS
 
 
@@ -598,10 +584,6 @@ def test_usage_bytes_cover_every_usage_error():
 def test_usage_bytes(capsys, monkeypatch, case):
     pin = USAGE_BYTES[case]
     monkeypatch.setenv("COLUMNS", "200")
-    if pin["env"] is None:
-        monkeypatch.delenv("SERREWT_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("SERREWT_JOBS", pin["env"])
     assert run(capsys, *pin["argv"]) == (pin["code"], pin["stdout"], pin["stderr"])
 
 

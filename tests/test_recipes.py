@@ -386,6 +386,17 @@ def test_k_cris_decomposes_only_the_support_residues():
         assert _decompose.cache_info().misses <= (p + 1) * len(residues), param
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_crystalline_spectrum_is_serre_k_mod_p_minus_1(p):
+    # bm_multiplicity(param, k) > 0 exactly at the k >= k(rho) with
+    # k = k(rho) mod p-1, for k in [2, 3p^2 + 2]: no verify check reads the
+    # spectrum above its least k
+    top = 3 * p * p + 2
+    for param in enumerate_params(p):
+        spectrum = [k for k in range(2, top + 1) if bm_multiplicity(param, k) > 0]
+        assert spectrum == list(range(serre_k(param), top + 1, p - 1)), param
+
+
 def test_empty_support_breaches_an_invariant(monkeypatch, capsys):
     # B(rho) is never empty, so a scan over an empty support is a breach (exit 3)
     monkeypatch.setattr(recipes, "mu_support", lambda param: [])

@@ -5,9 +5,14 @@ import copy
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -128,6 +133,13 @@ def test_run_suite_rejects_unknown_check():
         run_suite([5], "all", jobs=0)
 
 
+@pytest.mark.parametrize("jobs", ["2", None, 2.5, 1.0])
+def test_run_suite_names_a_non_int_jobs(jobs):
+    # "2" and None escaped as TypeError; 2.5 ran a pool of 2 and 1.0 ran serially
+    with pytest.raises(ValueError, match=f"^jobs must be an int, got {re.escape(repr(jobs))}$"):
+        run_suite([3], ["kmin"], jobs=jobs)
+
+
 def test_run_suite_rejects_empty_selection():
     with pytest.raises(ValueError):
         run_suite([], "all")
@@ -163,7 +175,7 @@ class _CountingPool(concurrent.futures.ProcessPoolExecutor):
 
 
 def test_run_suite_opens_one_pool_per_call(monkeypatch):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool even on one core
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # a pool even on one CPU
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "opened", 0)
     serial = run_suite([3, 5], "all", jobs=1)
@@ -209,17 +221,39 @@ def in_process_pool(monkeypatch):
 
 
 def test_run_suite_caps_jobs_at_cpu_count(monkeypatch, in_process_pool):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     many = run_suite([5], "all", jobs=64)
     assert in_process_pool.max_workers == [2]
     assert _strip_ms(many) == _strip_ms(run_suite([5], "all", jobs=1))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform sets no affinity")
+def test_run_suite_caps_jobs_at_the_cpus_this_process_may_run_on():
+    # a child narrows its own affinity to one CPU: jobs=8 then runs in
+    # process, however many CPUs the host has
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from serrewt.verify import run_suite; assert run_suite([5], ['kmin'], jobs=8)['pass']; "
+            "assert 'concurrent.futures.process' not in sys.modules")
+    src = str(Path(serrewt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_usable_cpus_counts_the_host_without_an_affinity_mask(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    assert verify._usable_cpus() == 3
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)  # the count is undetermined
+    assert verify._usable_cpus() == 1
 
 
 def test_run_suite_starts_no_idle_worker(monkeypatch, in_process_pool):
     # the pool asks for min(jobs, slices of the call) workers; a lone prime
     # is cut into at most p parts, and [3, 5] at 16 cores into 5 + 3
     for cores, primes, slices in ((16, [3], 3), (2, [3], 2), (16, [3, 5], 8)):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda cores=cores: cores)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda cores=cores: cores)
         monkeypatch.setattr(_InProcessPool, "max_workers", [])
         monkeypatch.setattr(_InProcessPool, "tasks", [])
         assert run_suite(primes, ["kmin", "main"], jobs=cores)["pass"]
@@ -230,7 +264,7 @@ def test_run_suite_starts_no_idle_worker(monkeypatch, in_process_pool):
 def test_run_suite_parent_builds_no_item_list(monkeypatch, in_process_pool):
     # the pool is handed (checks, p, part, parts) slices of plain names and
     # ints, and each item list is built in the worker that runs its slice
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     items, ev = verify.CHECKS["kmin"]
 
     def built(p):
@@ -250,7 +284,7 @@ def test_run_suite_parent_builds_no_item_list(monkeypatch, in_process_pool):
 def test_run_suite_builds_each_item_list_once(monkeypatch, in_process_pool):
     # once per prime that is not cut; a cut prime builds each of its lists
     # once per part, in that part's slice
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     built = Counter()
     for name, (items, ev) in list(verify.CHECKS.items()):
         def counted(p, name=name, items=items):
@@ -270,7 +304,7 @@ def test_run_suite_builds_each_item_list_once(monkeypatch, in_process_pool):
 def test_a_prime_listed_twice_runs_once_and_is_reported_twice(monkeypatch):
     # each (check, 5) item list is built once, and both of 5's reports are
     # the one run, at any worker count
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # a process pool even on one CPU
     built = Counter()
     for name, (items, ev) in list(verify.CHECKS.items()):
         def counted(p, name=name, items=items):
@@ -312,7 +346,7 @@ def test_run_suite_builds_items_one_check_at_a_time(monkeypatch):
 ], ids=["3,29-jobs2", "29,31-jobs2", "5-jobs64"])
 def test_run_suite_cuts_primes_by_their_share_largest_first(monkeypatch, in_process_pool,
                                                             primes, cores, expected):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cores)
     assert _strip_ms(run_suite(primes, ["kmin"], jobs=cores)) == _strip_ms(
         run_suite(primes, ["kmin"], jobs=1))
     assert in_process_pool.tasks == [(("kmin",), p, part, parts) for p, part, parts in expected]
@@ -341,7 +375,7 @@ ALL_FIVE = ["main", "bm", "kmin", "recursion", "brauer"]
 def test_a_real_pool_reports_as_one_process(monkeypatch):
     # at jobs 2, prime 29 is cut into two parts that run in two processes,
     # and 3 runs whole beside them
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # a process pool even on one CPU
     parallel = run_suite([3, 29], ALL_FIVE, jobs=2)
     assert parallel["pass"]
     assert _strip_ms(parallel) == _strip_ms(run_suite([3, 29], ALL_FIVE, jobs=1))
@@ -533,7 +567,7 @@ def _count_recipe_calls(monkeypatch):
 def test_main_and_bm_build_each_record_once(monkeypatch, in_process_pool, p, checks, jobs):
     # main and bm read one record per parameter, also when they are not
     # adjacent and when the slices go through a pool (in-process here)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     calls = _count_recipe_calls(monkeypatch)
     assert run_suite([p], checks, jobs=jobs)["pass"]
     assert in_process_pool.max_workers == ([] if jobs == 1 else [2])
@@ -563,7 +597,7 @@ class _RecordSpy:
 
 @pytest.mark.parametrize("jobs", [1, 64])
 def test_record_store_holds_at_most_p(monkeypatch, in_process_pool, jobs):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 64)
     store = _RecordSpy(recipes._record)
     monkeypatch.setattr(verify, "_record", store)
     assert run_suite([7, 29], "all", jobs=jobs)["pass"]
@@ -618,7 +652,7 @@ def test_a_run_leaves_every_library_cache_empty(monkeypatch):
 def test_a_pool_run_leaves_every_library_cache_empty(monkeypatch, in_process_pool, jobs):
     # every slice ends empty, so no worker keeps the caches of the last
     # slice it ran; also when that slice raised
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: jobs)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: jobs)
     assert run_suite([5, 7], "all", jobs=jobs)["pass"]
     assert len(in_process_pool.tasks) == (2 if jobs == 2 else 12)
     assert _held_caches() == {}
@@ -646,9 +680,9 @@ def test_a_run_that_raises_leaves_no_record(monkeypatch):
 @pytest.mark.parametrize("p", [5, 7])
 def test_shared_slices_report_the_same_at_any_worker_count(monkeypatch, p):
     checks = ["main", "kmin", "bm"]
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a process pool even on one core
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # a process pool even on one CPU
     reports = [_strip_ms(run_suite([p], checks, jobs=jobs)) for jobs in (1, 2)]
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "tasks", [])
     reports.append(_strip_ms(run_suite([p], checks, jobs=64)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from serrewt import weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.galois_params import Irreducible, Reducible, enumerate_params, normalize_level2
+from serrewt.oracle import verify_decomposition
 from serrewt.recipes import _bm_weights, serre_k
 from serrewt.verify import run_suite
 from serrewt.weights import (
@@ -127,6 +128,15 @@ def test_sym_class_names_a_non_int_index(N):
     # class and -3.0 the fold's message about N = 1.0
     with pytest.raises(ValueError, match=f"^N must be an int, got {N!r}$"):
         sym_class(5, N)
+
+
+@pytest.mark.parametrize("fn, N", [(decompose_sym, 7.0), (decompose_sym, 2.5), (verify_decomposition, 7.0)],
+                         ids=["decompose_sym-7.0", "decompose_sym-2.5", "verify_decomposition-7.0"])
+def test_the_fold_names_a_non_int_index(fn, N):
+    # the fold checks the type before the sign: a non-int N got the
+    # message for a negative one, "N must be >= 0, got 7.0"
+    with pytest.raises(ValueError, match=f"^N must be an int, got {N!r}$"):
+        fn(5, N)
 
 
 @pytest.mark.parametrize("n", [7.5, 5.0])
