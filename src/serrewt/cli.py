@@ -16,8 +16,8 @@ the command) goes to the top-level parser.
 Exit codes: 0 success / all checks pass, 1 a verification check found
 counterexamples, 2 usage or schema errors (including p = 2 and I/O
 problems), 3 breached internal invariant.  The library is the only
-validator: a ValueError from any library call (ParamError, LevelOneError
-and UnsupportedPrimeError among them) or an OSError is a usage error and
+validator: a ValueError from any library call (ParamError and
+UnsupportedPrimeError among them) or an OSError is a usage error and
 exits 2, and an InternalInvariantError exits 3.  verify --jobs N runs at
 most N processes, capped at the CPUs this process may run on, whose number
 is also the default.  The coverage of each verify check is fixed by p (see

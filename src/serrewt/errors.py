@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The library is the only validator of its input, and every rejection is a
-ValueError: one of the three subclasses below, or a plain ValueError (say,
+ValueError: one of the two subclasses below, or a plain ValueError (say,
 N < 0, a weight outside its range or an unknown check).  The CLI maps any
 ValueError from a library call to exit 2, a usage error, and a breached
 internal invariant (InternalInvariantError) to exit 3.
@@ -10,11 +10,6 @@ internal invariant (InternalInvariantError) to exit 3.
 
 class ParamError(ValueError):
     """An inertial parameter record violates the schema or a type invariant."""
-
-
-class LevelOneError(ValueError):
-    """A tame-character exponent is divisible by p+1, so the character pair
-    is reducible on tame inertia and does not define a level-2 datum."""
 
 
 class UnsupportedPrimeError(ValueError):

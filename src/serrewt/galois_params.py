@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-from .errors import InternalInvariantError, LevelOneError, ParamError
+from .errors import InternalInvariantError, ParamError
 from .weights import is_odd_prime
 
 SHAPE_SPLIT = "split"
@@ -99,25 +99,17 @@ class Reducible:
 InertialParam = Union[Irreducible, Reducible]
 
 
-def normalize_level2(p: int, e: int) -> Tuple[int, int]:
+def _normalize_level2(p: int, e: int) -> Tuple[int, int] | None:
     """Canonical (a, b), 0 <= a < b <= p-1, for the character pair {e, pe}.
 
     The exponent e is taken modulo p^2 - 1.  Replacing e by pe (the
-    Frobenius conjugate) gives the same answer.  Raises LevelOneError when
-    p+1 divides e, i.e. when the character has level 1, and ParamError
-    when e is not an int.
+    Frobenius conjugate) gives the same answer.  Returns None when p+1
+    divides e, i.e. when the character has level 1.  p and e are unchecked:
+    p must be an odd prime and e an int.
     """
-    _require_odd_prime(p)
-    if not isinstance(e, int):
-        raise ParamError(f"exponent e must be an int, got {e!r}")
-    return _normalize_level2(p, e)
-
-
-def _normalize_level2(p: int, e: int) -> Tuple[int, int]:
-    """normalize_level2 at a p known to be an odd prime, unchecked."""
     e %= p * p - 1
     if e % (p + 1) == 0:
-        raise LevelOneError(f"exponent {e} is divisible by p+1 = {p + 1}")
+        return None
     a, b = divmod(e, p)
     if a > b:
         e = (p * e) % (p * p - 1)

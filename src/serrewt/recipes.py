@@ -3,24 +3,24 @@
 Given an inertial parameter this module computes:
 
   * serre_k: Serre's minimal classical weight k(rho);
-  * bdj_weight_set: the Buzzard-Diamond-Jarvis set W(rho) of Serre weights,
-    and k_min_of_set, the least k >= 2 such that some member of W(rho)
-    occurs in Sym^(k-2);
+  * the Buzzard-Diamond-Jarvis set W(rho) of Serre weights, and k_min, the
+    least k >= 2 such that some member of W(rho) occurs in Sym^(k-2);
   * kisin_mu: Kisin's multiplicities mu_(n,m)(rho) from the Breuil-Mezard
-    conjecture, the set B(rho) of weights with mu > 0 (bm_set), the
-    conjectural Hilbert-Samuel multiplicity of the mod-p weight-k
-    crystalline deformation ring (bm_multiplicity), and the least weight
-    k_cris with a nonzero multiplicity.
+    conjecture, the set B(rho) of weights with mu > 0, the conjectural
+    Hilbert-Samuel multiplicity of the mod-p weight-k crystalline
+    deformation ring (bm_multiplicity), and the least weight k_cris with a
+    nonzero multiplicity.
 
-The classical theorems assert serre_k = k_min_of_set = k_cris and
-bm_set = bdj_weight_set for every parameter; the verify module checks this
-exhaustively per prime.
+The classical theorems assert serre_k = k_min = k_cris and B(rho) = W(rho)
+for every parameter; the verify module checks this exhaustively per prime.
 
 Inside the library W(rho) is the sorted (a, b) pairs _w_pairs and B(rho)
-the pairs of _bm_weights; only the public bdj_weight_set and bm_set build
-SerreWeights.  _record gives a parameter's W pairs and B weights (one
-_w_pairs and one mu_support call); weight_report, behind the weights and
-table commands, and verify's main and bm checks read it, uncached here.
+the pairs of _bm_weights.  _record gives a parameter's W pairs and B
+weights (one _w_pairs and one mu_support call); weight_report, behind the
+weights and table commands, and verify's main and bm checks read it,
+uncached here.  bdj_weight_set and bm_set (W and B as SerreWeights) and
+k_min_of_set are not in __all__; they stay bound only because the
+benchmark's tracer names them, until ROADMAP item 1 lands.
 
 Conventions used by serre_k.  For a split (semisimple) record the two
 inertia exponents are both reduced into [0, p-2] and the smaller one is the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .errors import InternalInvariantError, LevelOneError
+from .errors import InternalInvariantError
 from .galois_params import (
     SHAPE_NONSPLIT,
     SHAPE_PEU,
@@ -147,11 +147,7 @@ def kisin_mu(param: InertialParam, n: int, m: int) -> int:
     if not 0 <= m <= p - 2:
         raise ValueError(f"m={m} outside [0, {p - 2}]")
     if isinstance(param, Irreducible):
-        try:
-            ab = _normalize_level2(p, m * (p + 1) + n + 1)
-        except LevelOneError:
-            return 0
-        return 1 if ab == (param.a, param.b) else 0
+        return 1 if _normalize_level2(p, m * (p + 1) + n + 1) == (param.a, param.b) else 0
 
     m0, r, shape, lam = param.twist, param.ratio, param.shape, param.lambda_equal
     q = p - 1

@@ -2,7 +2,7 @@
 
 Each check is its item list at p plus an evaluator, one entry of CHECKS:
 
-  main       serre_k = k_min_of_set = k_cris for every inertial parameter
+  main       serre_k = min over W of _k_min = k_cris for every inertial parameter
   bm         B(rho) = W(rho), as sorted (a, b) pairs, for every parameter,
              and the Fontaine-Laffaille bound mu_(n,m) <= 1 at n <= p-3
   kmin       _k_min = k_min_search's scan on the full (p-1) x p weight grid

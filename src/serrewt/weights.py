@@ -22,11 +22,13 @@ the "Serre weights".  This module implements:
 
     to all integers n;
   * k_min_closed: the least k >= 2 such that a given weight occurs in
-    Sym^(k-2), in closed form (_k_min at a pair).
+    Sym^(k-2), in closed form (_k_min at a pair), for the kmin command.
+    It is not in __all__, and stays a function only because the
+    benchmark's tracer names it, until ROADMAP item 1 lands.
 
 Inside weights, recipes and verify a weight at a known prime p is its pair
-(a, b), and a SerreWeight is built only by a caller or by a public function
-that hands weights out (VirtualClass.items, bdj_weight_set, bm_set).
+(a, b), and a SerreWeight is built only by a caller or by a function that
+hands weights out (VirtualClass.items, recipes' bdj_weight_set and bm_set).
 A pair is checked where a caller hands it in, never again after that.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
@@ -151,10 +153,6 @@ class VirtualClass:
             _require_weight_range(p, a, b)
         self.p = p
         self._coeffs = {key: c for key, c in (coeffs or {}).items() if c}
-
-    def coefficient(self, w: SerreWeight) -> int:
-        """Coefficient of w; 0 for a weight at another prime."""
-        return self._coeffs.get((w.a, w.b), 0) if w.p == self.p else 0
 
     def items(self) -> List[Tuple[SerreWeight, int]]:
         """Coefficients sorted lexicographically by (a, b)."""

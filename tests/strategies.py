@@ -10,7 +10,7 @@ from serrewt.galois_params import (
     SHAPE_TRES,
     Irreducible,
     Reducible,
-    normalize_level2,
+    _normalize_level2,
 )
 from serrewt.weights import SerreWeight, VirtualClass
 
@@ -21,7 +21,7 @@ def param_twist(param, t):
     """The parameter of omega^t (x) rho."""
     p = param.p
     if isinstance(param, Irreducible):
-        return Irreducible(p, *normalize_level2(p, p * param.a + param.b + t * (p + 1)))
+        return Irreducible(p, *_normalize_level2(p, p * param.a + param.b + t * (p + 1)))
     return Reducible(p, (param.twist + t) % (p - 1), param.ratio, param.shape, param.lambda_equal)
 
 

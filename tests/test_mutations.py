@@ -15,9 +15,8 @@ library's behaviour with one rule changed; the checks that catch it:
   * _decompose: one factor of each Sym^N (N >= p-1) twisted by det,
     patched wherever the library holds it or the uncached fold _fold
     behind it, i.e. in weights and oracle (recursion, main, kmin, brauer);
-  * _normalize_level2, the unchecked normalization behind normalize_level2
-    that kisin_mu calls: the exponent reduced modulo p^2 - 2, not p^2 - 1
-    (bm);
+  * _normalize_level2, the unchecked level-2 normalization that kisin_mu
+    calls: the exponent reduced modulo p^2 - 2, not p^2 - 1 (bm);
   * _twisted, the det twist that VirtualClass.twist and the recursion
     lemma items share: the exponent a + t left unreduced modulo p-1,
     patched wherever the library holds it (recursion).  Derived classes

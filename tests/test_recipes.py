@@ -200,7 +200,7 @@ def test_k_min_of_set_attained(x):
     k = k_min_of_set(x)
     attaining = [w for w in bdj_weight_set(x) if k_min_closed(w) == k]
     assert attaining
-    assert all(decompose_sym(x.p, k - 2).coefficient(w) > 0 for w in attaining)
+    assert all(dict(decompose_sym(x.p, k - 2).items()).get(w, 0) > 0 for w in attaining)
 
 
 def test_minimal_weight_not_unique_for_interior_split():

@@ -60,10 +60,10 @@ def test_check_bm_equals_bdj():
 
 def test_primality_tests_per_suite_are_bounded(monkeypatch):
     # p is tested where it enters: run_suite, enumerate_params, a caller's
-    # SerreWeight; and, guarding caller input, _decompose on each cache miss
-    # and the public normalize_level2 on each call.  Derived records,
-    # weights and classes are not tested again (86,750 tests when they
-    # were), nor is p in kisin_mu's normalizations (15,818 when it was).
+    # SerreWeight; and, guarding caller input, _decompose on each cache
+    # miss.  Derived records, weights and classes are not tested again
+    # (86,750 tests when they were), nor is p in kisin_mu's normalizations
+    # (15,818 when it was).
     calls = []
     orig = weights.is_odd_prime
 

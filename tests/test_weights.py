@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from serrewt import weights
 from serrewt.errors import UnsupportedPrimeError
-from serrewt.galois_params import Irreducible, Reducible, enumerate_params, normalize_level2
+from serrewt.galois_params import Irreducible, Reducible, enumerate_params
 from serrewt.oracle import verify_decomposition
 from serrewt.recipes import _bm_weights, serre_k
 from serrewt.verify import run_suite
@@ -102,7 +102,6 @@ NON_INT_CALLS = {
     "Reducible(5, 1.0, 0, ...)": lambda: Reducible(5, 1.0, 0, "split", True),
     "Reducible(5, 0, 0.5, ...)": lambda: Reducible(5, 0, 0.5, "split", True),
     "k_min_closed(SerreWeight(5.0, 1, 2))": lambda: k_min_closed(SerreWeight(5.0, 1, 2)),
-    "normalize_level2(5.0, 7)": lambda: normalize_level2(5.0, 7),
     "SerreWeight(5, 0.5, 1)": lambda: SerreWeight(5, 0.5, 1),
     "SerreWeight(5, 1, 2.0)": lambda: SerreWeight(5, 1, 2.0),
     "VirtualClass(7.5)": lambda: VirtualClass(7.5),
@@ -161,11 +160,11 @@ def test_virtual_class_arithmetic():
     x = VirtualClass(5, {(0, 2): 1, (1, 4): 2})
     y = VirtualClass(5, {(1, 4): -2, (3, 1): 1})
     z = x + y
-    assert z.coefficient(W(5, 1, 4)) == 0
+    assert dict(z.items()).get(W(5, 1, 4), 0) == 0
     assert len(z) == 2
     assert x - x == VirtualClass(5)
     assert not VirtualClass(5)
-    assert (-x).coefficient(W(5, 0, 2)) == -1
+    assert dict((-x).items()).get(W(5, 0, 2), 0) == -1
     assert x.twist(4) == x  # full period
     assert [c for _, c in y.items()] == [-2, 1] and [c for _, c in x.items()] == [1, 2]
 
@@ -179,8 +178,8 @@ def test_virtual_class_rejects_mixed_primes():
         with pytest.raises(ValueError, match="^cannot add classes at different primes$"):
             op(VirtualClass(5, {(0, 1): 1}), VirtualClass(7, {(0, 1): 1}))
     # a weight at another prime has coefficient 0
-    assert VirtualClass(5, {(0, 1): 1}).coefficient(W(5, 0, 1)) == 1
-    assert VirtualClass(5, {(0, 1): 1}).coefficient(W(7, 0, 1)) == 0
+    assert dict(VirtualClass(5, {(0, 1): 1}).items()).get(W(5, 0, 1), 0) == 1
+    assert dict(VirtualClass(5, {(0, 1): 1}).items()).get(W(7, 0, 1), 0) == 0
 
 
 @given(classes(), st.data(), st.integers(-50, 50))
@@ -386,9 +385,9 @@ def test_an_interrupted_extension_leaves_no_half_list(monkeypatch):
 
 
 def test_jh_multiplicity():
-    assert decompose_sym(5, 7 - 2).coefficient(W(5, 0, 2)) == 1
-    assert decompose_sym(5, 7 - 2).coefficient(W(5, 0, 5)) == 0
-    assert decompose_sym(5, 3 - 2).coefficient(W(5, 0, 2)) == 1
+    assert dict(decompose_sym(5, 7 - 2).items()).get(W(5, 0, 2), 0) == 1
+    assert dict(decompose_sym(5, 7 - 2).items()).get(W(5, 0, 5), 0) == 0
+    assert dict(decompose_sym(5, 3 - 2).items()).get(W(5, 0, 2), 0) == 1
     with pytest.raises(ValueError):
         decompose_sym(5, 1 - 2)
 
@@ -501,7 +500,7 @@ def test_k_min_closed_on_the_boundary():
 def test_k_min_closed_example_by_scan():
     # independent scan: the first symmetric power containing V(1,2) at p=5
     target = W(5, 1, 2)
-    first = next(k for k in range(2, 25) if decompose_sym(5, k - 2).coefficient(target) > 0)
+    first = next(k for k in range(2, 25) if dict(decompose_sym(5, k - 2).items()).get(target, 0) > 0)
     assert first == 9
     assert k_min_closed(target) == 9
 
