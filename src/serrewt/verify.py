@@ -274,6 +274,7 @@ def run_suite(
         names = tuple(ALL_CHECKS)
     else:
         names = (checks,) if isinstance(checks, str) else tuple(checks)
+    primes = tuple(primes)  # an iterator is read once, by the checks below
     if not primes or not names:
         raise ValueError("no primes or no checks selected; nothing to verify")
     for name in names:
@@ -283,7 +284,7 @@ def run_suite(
         if p == 2:
             raise UnsupportedPrimeError("p = 2 is not supported; the recipes differ there")
         if not is_odd_prime(p):
-            raise UnsupportedPrimeError(f"{p} is not an odd prime")
+            raise UnsupportedPrimeError(f"{p!r} is not an odd prime")
     if not isinstance(jobs, int):
         raise ValueError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:

@@ -136,21 +136,24 @@ class SerreWeight:
 class VirtualClass:
     """An integer linear combination of Serre-weight classes at a fixed prime.
 
-    VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); p and
-    every key, zero coefficients included, are checked (0 <= a <= p-2,
-    1 <= b <= p) or ValueError is raised, and coeffs is copied.  Derived
-    classes (arithmetic, twist, decompose_sym, sym_class) are built by
-    _class, unchecked and uncopied; decompose_sym and sym_class share the
-    cached decomposition dict.  No stored dict holds a zero or is ever
-    mutated.  Weights leave through items().
+    VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); p,
+    every key, zero coefficients included, and every coefficient are
+    checked (0 <= a <= p-2, 1 <= b <= p, coeff an int) or ValueError is
+    raised, and coeffs is copied.  Derived classes (arithmetic, twist,
+    decompose_sym, sym_class) are built by _class, unchecked and uncopied;
+    decompose_sym and sym_class share the cached decomposition dict.  No
+    stored dict holds a zero or is ever mutated.  Weights leave through
+    items().
     """
 
     __slots__ = ("p", "_coeffs")
 
     def __init__(self, p: int, coeffs: Mapping[Tuple[int, int], int] | None = None):
         _require_odd_prime(p)
-        for a, b in coeffs or {}:
+        for (a, b), c in (coeffs or {}).items():
             _require_weight_range(p, a, b)
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient of V({a},{b}) must be an int, got {c!r}")
         self.p = p
         self._coeffs = {key: c for key, c in (coeffs or {}).items() if c}
 
@@ -184,6 +187,8 @@ class VirtualClass:
 
     def twist(self, t: int) -> "VirtualClass":
         """Tensor by det^t (a bijection on weights, so coefficients move)."""
+        if not isinstance(t, int):
+            raise ValueError(f"t must be an int, got {t!r}")
         return _class(self.p, _twisted(self.p, self._coeffs, t))
 
     def __eq__(self, other: object) -> bool:

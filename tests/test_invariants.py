@@ -154,3 +154,22 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC_NAMES = {
+    "InertialParam", "InternalInvariantError", "Irreducible", "ParamError",
+    "Reducible", "SerreWeight", "UnsupportedPrimeError", "VirtualClass",
+    "bm_multiplicity", "decompose_sym", "enumerate_params", "k_cris",
+    "k_min_search", "kisin_mu", "mu_support", "parse_param", "run_suite",
+    "serre_k", "sym_class", "verify_decomposition", "weight_report",
+}
+RETIRED_NAMES = ("LevelOneError", "normalize_level2", "p_regular_classes",
+                 "bdj_weight_set", "bm_set", "k_min_of_set", "k_min_closed")
+
+
+def test_public_surface_is_pinned():
+    assert sorted(serrewt.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 21
+    bound = {}
+    exec("from serrewt import *", bound)
+    assert set(bound) - {"__builtins__"} == PUBLIC_NAMES
+    assert [name for name in RETIRED_NAMES if hasattr(serrewt, name)] == []

@@ -147,6 +147,15 @@ def test_run_suite_rejects_empty_selection():
         run_suite([3], [])
 
 
+def test_run_suite_reads_an_iterator_of_primes_once():
+    # the prime checks must not consume the iterator the runs are built from
+    assert _strip_ms(run_suite(iter([3, 5]), "all")) == _strip_ms(run_suite([3, 5], "all"))
+    with pytest.raises(ValueError):
+        run_suite(iter([]), "all")
+    with pytest.raises(UnsupportedPrimeError, match="^'3' is not an odd prime$"):
+        run_suite("3")
+
+
 def test_run_suite_all_checks_small():
     agg = run_suite([3, 5], "all")
     assert agg["pass"]

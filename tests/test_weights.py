@@ -106,6 +106,10 @@ NON_INT_CALLS = {
     "SerreWeight(5, 1, 2.0)": lambda: SerreWeight(5, 1, 2.0),
     "VirtualClass(7.5)": lambda: VirtualClass(7.5),
     "VirtualClass(5, {(0.5, 1): 1})": lambda: VirtualClass(5, {(0.5, 1): 1}),
+    "VirtualClass(5, {(0, 1): 0.5})": lambda: VirtualClass(5, {(0, 1): 0.5}),
+    "VirtualClass(5, {(0, 1): '1'})": lambda: VirtualClass(5, {(0, 1): "1"}),
+    "sym_class(5, 3).twist(1.0)": lambda: sym_class(5, 3).twist(1.0),
+    "sym_class(5, 3).twist('1')": lambda: sym_class(5, 3).twist("1"),
     "run_suite([5.0])": lambda: run_suite([5.0]),
     "enumerate_params(5.0)": lambda: enumerate_params(5.0),
     "decompose_sym(5, 7.0)": lambda: decompose_sym(5, 7.0),
