@@ -1,30 +1,16 @@
-"""Command-line frontend.
+"""serrewt: Serre weights of GL2(F_p) and the Breuil-Mezard multiplicities
+of mod-p Galois parameters, computed and checked exactly, prime by prime.
 
-Subcommands:
+Every command takes --format {table|json|csv} and --out PATH; run
+"serrewt COMMAND --help" for its own flags.  verify -p defaults to 3..47,
+and verify --jobs N runs at most N worker processes, capped at the CPUs
+serrewt may run on, whose number is also the default.
 
-  decompose   Jordan-Holder factors of Sym^N
-  kmin        minimal weight of a single Serre weight (closed form,
-              optionally cross-checked against the scan oracle)
-  weights     all recipe outputs for one inertial parameter (JSON input)
-  verify      exhaustive per-prime theorem checks
-  table       one row per inertial parameter at a prime
-
-Common flags: --format {table|json|csv}, --out PATH; verify adds --jobs N.
-When the first argument names a command, that command's parser alone reads
-the rest; any other argv (none, -h, an unknown command, an option before
-the command) goes to the top-level parser.
 Exit codes: 0 success / all checks pass, 1 a verification check found
-counterexamples, 2 usage or schema errors (including p = 2 and I/O
-problems), 3 breached internal invariant.  The library is the only
-validator: a ValueError from any library call (ParamError and
-UnsupportedPrimeError among them) or an OSError is a usage error and
-exits 2, and an InternalInvariantError exits 3.  verify --jobs N runs at
-most N processes, capped at the CPUs this process may run on, whose number
-is also the default.  The coverage of each verify check is fixed by p (see
-serrewt.verify), and -p defaults to 3..47.
-
-Output is deterministic byte-for-byte for fixed inputs except for the "ms"
-timing fields of verification reports.
+counterexamples, 2 usage or input errors (including p = 2 and I/O
+problems), 3 breached internal invariant.  A usage error prints one
+"error: ..." line on stderr.  Output is deterministic byte-for-byte for
+fixed inputs except for the "ms" timing fields of verification reports.
 """
 
 from __future__ import annotations
@@ -70,7 +56,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
 
     top = _Parser(prog="serrewt", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(title="commands", dest="command", required=True)
 
     d = sub.add_parser("decompose", parents=[common],
                        help="Jordan-Holder factors of Sym^N")
@@ -79,7 +65,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     d.add_argument("-N", type=int, required=True)
 
     k = sub.add_parser("kmin", parents=[common],
-                       help="minimal weight of V(a,b)")
+                       help="minimal weight of V(a,b); --search also scans for it")
     k.set_defaults(run=_cmd_kmin)
     k.add_argument("-p", type=int, required=True)
     k.add_argument("-a", type=int, required=True)
@@ -94,7 +80,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
                    help="inertial parameter as a JSON object")
 
     v = sub.add_parser("verify", parents=[common],
-                       help="run exhaustive theorem checks")
+                       help="run exhaustive theorem checks, prime by prime")
     v.set_defaults(run=_cmd_verify)
     v.add_argument("--jobs", type=int, default=None, metavar="N")
     v.add_argument("-p", dest="prime_range", default=None, metavar="RANGE",
@@ -234,6 +220,12 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code; the module docstring is
+    its --help.  A command's parser alone reads the arguments after the
+    command's name; any other argv goes to the top-level parser.  The
+    library is the only validator: a ValueError from a library call
+    (ParamError, UnsupportedPrimeError) or an OSError exits 2, and an
+    InternalInvariantError exits 3."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         top, commands = _build_parser()

@@ -26,22 +26,17 @@ to decide which records arise from genuine global representations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple, Union
 
 from .errors import InternalInvariantError, ParamError
-from .weights import is_odd_prime
+from .weights import _is_int, _require_odd_prime
 
 SHAPE_SPLIT = "split"
 SHAPE_NONSPLIT = "nonsplit"
 SHAPE_PEU = "peu"
 SHAPE_TRES = "tres"
 SHAPES = (SHAPE_SPLIT, SHAPE_NONSPLIT, SHAPE_PEU, SHAPE_TRES)
-
-
-def _require_odd_prime(p: int) -> None:
-    if not is_odd_prime(p):
-        raise ParamError(f"p must be an odd prime, got {p}")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,10 +48,10 @@ class Irreducible:
     b: int
 
     def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        if not (isinstance(self.a, int) and isinstance(self.b, int) and 0 <= self.a < self.b <= self.p - 1):
+        _require_odd_prime(self.p, ParamError)
+        if not (_is_int(self.a) and _is_int(self.b) and 0 <= self.a < self.b <= self.p - 1):
             raise ParamError(
-                f"irreducible parameter needs 0 <= a < b <= p-1, got ({self.a}, {self.b})"
+                f"irreducible parameter needs 0 <= a < b <= p-1, got ({self.a!r}, {self.b!r})"
             )
 
 
@@ -67,7 +62,7 @@ class Reducible:
     shape "peu"/"tres" is only meaningful when the character ratio is
     exactly omega, i.e. ratio = 1 and lambda_equal.  A non-split extension
     at ratio 1 with equal unramified characters is necessarily one of the
-    two, so shape "nonsplit" is rejected there.
+    two, so shape "nonsplit" is rejected there.  lambda_equal is a bool.
     """
 
     p: int
@@ -77,13 +72,15 @@ class Reducible:
     lambda_equal: bool
 
     def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        if not (isinstance(self.twist, int) and 0 <= self.twist <= self.p - 2):
-            raise ParamError(f"twist {self.twist} outside [0, {self.p - 2}]")
-        if not (isinstance(self.ratio, int) and 0 <= self.ratio <= self.p - 2):
-            raise ParamError(f"ratio {self.ratio} outside [0, {self.p - 2}]")
+        _require_odd_prime(self.p, ParamError)
+        if not (_is_int(self.twist) and 0 <= self.twist <= self.p - 2):
+            raise ParamError(f"twist {self.twist!r} outside [0, {self.p - 2}]")
+        if not (_is_int(self.ratio) and 0 <= self.ratio <= self.p - 2):
+            raise ParamError(f"ratio {self.ratio!r} outside [0, {self.p - 2}]")
         if self.shape not in SHAPES:
             raise ParamError(f"unknown shape {self.shape!r}")
+        if not isinstance(self.lambda_equal, bool):
+            raise ParamError(f"lambda_equal must be a bool, got {self.lambda_equal!r}")
         if self.shape in (SHAPE_PEU, SHAPE_TRES):
             if self.ratio != 1 or not self.lambda_equal:
                 raise ParamError(
@@ -131,7 +128,7 @@ def enumerate_params(p: int) -> List[InertialParam]:
     p is tested once, and the records, valid by construction, are built
     unchecked: each is filled through its __dict__, by field name.
     """
-    _require_odd_prime(p)
+    _require_odd_prime(p, ParamError)
     new, out = object.__new__, []
     for a in range(p - 1):
         for b in range(a + 1, p):
@@ -160,34 +157,26 @@ def param_to_dict(param: InertialParam) -> Dict[str, object]:
     }
 
 
+_RECORDS = {"irreducible": Irreducible, "reducible": Reducible}
+
+
 def parse_param(text: str) -> InertialParam:
-    """Parse a parameter from its JSON text form, validating all invariants."""
+    """Parse a parameter from its JSON text form.  Only the envelope is
+    checked here: valid JSON, an object, a str type naming a record class
+    and exactly that class's fields; the record checks every field."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParamError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParamError(f"parameter record must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("type")
-    if kind == "irreducible":
-        expected = {"p", "type", "a", "b"}
-    elif kind == "reducible":
-        expected = {"p", "type", "twist", "ratio", "shape", "lambda_equal"}
-    else:
+    kind = obj.pop("type", None)
+    if not (isinstance(kind, str) and kind in _RECORDS):
         raise ParamError(f"type must be 'irreducible' or 'reducible', got {kind!r}")
+    cls = _RECORDS[kind]
+    expected = {f.name for f in fields(cls)}
     if set(obj) != expected:
         raise ParamError(
             f"fields {sorted(set(obj) ^ expected)} unexpected or missing for type {kind}"
         )
-    def want(key, types):
-        v = obj[key]
-        if (types is int and isinstance(v, bool)) or not isinstance(v, types):
-            raise ParamError(f"field {key!r} has the wrong type")
-        return v
-    if kind == "irreducible":
-        return Irreducible(want("p", int), want("a", int), want("b", int))
-    shape = want("shape", str)
-    lam = obj["lambda_equal"]
-    if not isinstance(lam, bool):
-        raise ParamError("field 'lambda_equal' must be a boolean")
-    return Reducible(want("p", int), want("twist", int), want("ratio", int), shape, lam)
+    return cls(**obj)

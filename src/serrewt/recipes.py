@@ -49,7 +49,7 @@ from .galois_params import (
     _normalize_level2,
     param_to_dict,
 )
-from .weights import SerreWeight, Weights, _jh_sum, _k_min, _least_k
+from .weights import SerreWeight, Weights, _is_int, _jh_sum, _k_min, _least_k, _require_int
 
 WeightSet = Tuple[SerreWeight, ...]
 
@@ -142,10 +142,10 @@ def kisin_mu(param: InertialParam, n: int, m: int) -> int:
     (unequal lambdas) or 4 (equal lambdas).
     """
     p = param.p
-    if not 0 <= n <= p - 1:
-        raise ValueError(f"n={n} outside [0, {p - 1}]")
-    if not 0 <= m <= p - 2:
-        raise ValueError(f"m={m} outside [0, {p - 2}]")
+    if not (_is_int(n) and 0 <= n <= p - 1):
+        raise ValueError(f"n={n!r} outside [0, {p - 1}]")
+    if not (_is_int(m) and 0 <= m <= p - 2):
+        raise ValueError(f"m={m!r} outside [0, {p - 2}]")
     if isinstance(param, Irreducible):
         return 1 if _normalize_level2(p, m * (p + 1) + n + 1) == (param.a, param.b) else 0
 
@@ -215,8 +215,7 @@ def bm_set(param: InertialParam) -> WeightSet:
 def bm_multiplicity(param: InertialParam, k: int) -> int:
     """Right-hand side of the Breuil-Mezard formula at trivial type:
     sum over (n, m) of (multiplicity of V(m, n+1) in Sym^(k-2)) * mu_(n,m)."""
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
+    _require_int("k", k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return _jh_sum(param.p, k - 2, _bm_weights(param))

@@ -86,7 +86,7 @@ from .errors import UnsupportedPrimeError
 from .galois_params import InertialParam, enumerate_params, param_to_dict
 from .oracle import verify_decomposition
 from .recipes import serre_k
-from .weights import _class, _k_min, _least_k, _twisted, is_odd_prime, sym_class
+from .weights import _class, _k_min, _least_k, _require_int, _twisted, is_odd_prime, sym_class
 
 ALL_CHECKS = ("main", "bm", "kmin", "recursion")
 
@@ -285,8 +285,7 @@ def run_suite(
             raise UnsupportedPrimeError("p = 2 is not supported; the recipes differ there")
         if not is_odd_prime(p):
             raise UnsupportedPrimeError(f"{p!r} is not an odd prime")
-    if not isinstance(jobs, int):
-        raise ValueError(f"jobs must be an int, got {jobs!r}")
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, _usable_cpus())  # a fork pool starts every worker at once

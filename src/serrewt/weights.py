@@ -63,6 +63,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _is_int(x: object) -> bool:
+    """The one int rule of the library: an int is an int that is not a bool."""
+    return x.__class__ is int or (isinstance(x, int) and x.__class__ is not bool)
+
+
+def _require_int(name: str, x: object) -> None:
+    if not _is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def is_odd_prime(n: int) -> bool:
     """True iff n is an int and a prime other than 2.
 
@@ -70,7 +80,7 @@ def is_odd_prime(n: int) -> bool:
     Miller-Rabin up to _MR_BOUND; a larger n raises UnsupportedPrimeError
     rather than get an unproven answer.
     """
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
+    if not _is_int(n) or n < 3 or n % 2 == 0:
         return False
     if n < 1 << 18:
         d = 3
@@ -102,16 +112,16 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _require_odd_prime(p: int) -> None:
+def _require_odd_prime(p: int, error: type = ValueError) -> None:
     if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise error(f"p must be an odd prime, got {p!r}")
 
 
 def _require_weight_range(p: int, a: int, b: int) -> None:
-    if not (isinstance(a, int) and 0 <= a <= p - 2):
-        raise ValueError(f"twist exponent a={a} outside [0, {p - 2}]")
-    if not (isinstance(b, int) and 1 <= b <= p):
-        raise ValueError(f"dimension parameter b={b} outside [1, {p}]")
+    if not (_is_int(a) and 0 <= a <= p - 2):
+        raise ValueError(f"twist exponent a={a!r} outside [0, {p - 2}]")
+    if not (_is_int(b) and 1 <= b <= p):
+        raise ValueError(f"dimension parameter b={b!r} outside [1, {p}]")
 
 
 @dataclass(frozen=True, order=True)
@@ -138,22 +148,24 @@ class VirtualClass:
 
     VirtualClass(p, {(a, b): coeff}) is the sum of coeff * V(a, b); p,
     every key, zero coefficients included, and every coefficient are
-    checked (0 <= a <= p-2, 1 <= b <= p, coeff an int) or ValueError is
-    raised, and coeffs is copied.  Derived classes (arithmetic, twist,
-    decompose_sym, sym_class) are built by _class, unchecked and uncopied;
-    decompose_sym and sym_class share the cached decomposition dict.  No
-    stored dict holds a zero or is ever mutated.  Weights leave through
-    items().
+    checked (a key is a pair (a, b), 0 <= a <= p-2, 1 <= b <= p, coeff an
+    int) or ValueError is raised, and coeffs is copied.  Derived classes
+    (arithmetic, twist, decompose_sym, sym_class) are built by _class,
+    unchecked and uncopied; decompose_sym and sym_class share the cached
+    decomposition dict.  No stored dict holds a zero or is ever mutated.
+    Weights leave through items().
     """
 
     __slots__ = ("p", "_coeffs")
 
     def __init__(self, p: int, coeffs: Mapping[Tuple[int, int], int] | None = None):
         _require_odd_prime(p)
-        for (a, b), c in (coeffs or {}).items():
+        for key, c in (coeffs or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"a key must be an (a, b) pair, got {key!r}")
+            a, b = key
             _require_weight_range(p, a, b)
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient of V({a},{b}) must be an int, got {c!r}")
+            _require_int(f"coefficient of V({a},{b})", c)
         self.p = p
         self._coeffs = {key: c for key, c in (coeffs or {}).items() if c}
 
@@ -187,8 +199,7 @@ class VirtualClass:
 
     def twist(self, t: int) -> "VirtualClass":
         """Tensor by det^t (a bijection on weights, so coefficients move)."""
-        if not isinstance(t, int):
-            raise ValueError(f"t must be an int, got {t!r}")
+        _require_int("t", t)
         return _class(self.p, _twisted(self.p, self._coeffs, t))
 
     def __eq__(self, other: object) -> bool:
@@ -249,8 +260,7 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     list's own key tuples.  Only additions occur, so the result is effective
     by construction.  _decompose caches it; callers must not mutate."""
     _require_odd_prime(p)
-    if not isinstance(N, int):
-        raise ValueError(f"N must be an int, got {N!r}")
+    _require_int("N", N)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     q = p - 1
@@ -330,8 +340,7 @@ def sym_class(p: int, N: int) -> VirtualClass:
     The resulting assignment satisfies the periodic relation at every
     integer index; a non-int N raises ValueError.
     """
-    if not isinstance(N, int):
-        raise ValueError(f"N must be an int, got {N!r}")
+    _require_int("N", N)
     if N == -1:
         return VirtualClass(p)  # checks p; every other N reaches _decompose, which does
     if N < -1:

@@ -569,8 +569,8 @@ def test_usage_error_is_one_stderr_line_and_exit_2(capsys, case):
 # and stderr, byte for byte, of every USAGE_ERRORS case and of the argv
 # forms argparse treats specially: --format=json, -p5, an abbreviated flag,
 # a repeated flag, a -- separator, a negative value, a missing value, an
-# unknown command, no arguments, an option before the command and each
-# command's --help.  Recorded before main handed a command's arguments to
+# unknown command, no arguments, an option before the command, the top-level
+# --help and each command's --help.  Recorded before main handed a command's arguments to
 # that command's parser alone.  Help is formatted at 200 columns, where
 # CPython 3.10 to 3.13 print the same bytes.
 USAGE_BYTES = json.loads((Path(__file__).parent / "cli_usage_bytes.json").read_text(encoding="utf-8"))
@@ -595,6 +595,15 @@ def test_main_reads_sys_argv_when_argv_is_none(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["serrewt"])
     assert main() == 2
     assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+def test_top_help_names_no_module_function_or_exception(capsys):
+    # the top-level --help is for users: commands, common flags, exit codes
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert re.search(r"\w+Error|serrewt\.\w|\b[a-z]+_[a-z]+|\b_\w|\w\(\)", out) is None, out
+    for word in ("decompose", "kmin", "weights", "verify", "table", "--format", "--out", "Exit codes"):
+        assert word in out
 
 
 def test_help_exits_zero(capsys):

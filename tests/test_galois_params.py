@@ -186,6 +186,18 @@ def test_parse_rejects_bad_records():
         parse_param('{"p":5,"type":"irreducible","a":"0","b":3}')  # wrong type
     with pytest.raises(ParamError):
         parse_param('[1,2,3]')
+    # parse_param checks only the envelope; these the record or the tag check rejects
+    reducible = '{"p":5,"type":"reducible","twist":0,"ratio":2,"shape":"split","lambda_equal":true}'
+    assert parse_param(reducible) == Reducible(5, 0, 2, SHAPE_SPLIT, True)
+    for text in [
+        '{"p":5,"type":"irreducible","a":true,"b":3}',  # a bool is no int
+        '{"p":"5","type":"irreducible","a":0,"b":3}',
+        reducible.replace('"lambda_equal":true', '"lambda_equal":1'),
+        reducible.replace('"shape":"split"', '"shape":5'),
+        '{"p":5,"type":[1]}',  # an unhashable type tag
+    ]:
+        with pytest.raises(ParamError):
+            parse_param(text)
 
 
 @given(x=params())

@@ -11,7 +11,7 @@ from serrewt import weights
 from serrewt.errors import UnsupportedPrimeError
 from serrewt.galois_params import Irreducible, Reducible, enumerate_params
 from serrewt.oracle import verify_decomposition
-from serrewt.recipes import _bm_weights, serre_k
+from serrewt.recipes import _bm_weights, bm_multiplicity, kisin_mu, serre_k
 from serrewt.verify import run_suite
 from serrewt.weights import (
     _MR_BOUND,
@@ -115,6 +115,27 @@ NON_INT_CALLS = {
     "decompose_sym(5, 7.0)": lambda: decompose_sym(5, 7.0),
     # 7.0 == 7, but it is not read from 7's cache entry
     "sym_class(5, 7.0) after 7": lambda: (decompose_sym(5, 7), sym_class(5, 7.0)),
+    # a bool is no int: True == 1 and isinstance(True, int) hold
+    "decompose_sym(5, True)": lambda: decompose_sym(5, True),
+    "sym_class(5, True) after 1": lambda: (decompose_sym(5, 1), sym_class(5, True)),
+    "VirtualClass(5, {(0, 1): True})": lambda: VirtualClass(5, {(0, 1): True}),
+    "VirtualClass(5, {(True, 1): 1})": lambda: VirtualClass(5, {(True, 1): 1}),
+    "sym_class(5, 3).twist(True)": lambda: sym_class(5, 3).twist(True),
+    "run_suite([5], ['kmin'], jobs=True)": lambda: run_suite([5], ["kmin"], jobs=True),
+    "bm_multiplicity(Irreducible(5, 0, 1), True)": lambda: bm_multiplicity(Irreducible(5, 0, 1), True),
+    "Irreducible(5, False, True)": lambda: Irreducible(5, False, True),
+    "Reducible(5, True, 0, 'split', True)": lambda: Reducible(5, True, 0, "split", True),
+    "Reducible(5, 0, 0, 'split', 'yes')": lambda: Reducible(5, 0, 0, "split", "yes"),
+    "kisin_mu(Irreducible(5, 0, 1), 0.0, 0)": lambda: kisin_mu(Irreducible(5, 0, 1), 0.0, 0),
+    "kisin_mu(Irreducible(5, 0, 1), True, 0)": lambda: kisin_mu(Irreducible(5, 0, 1), True, 0),
+    "kisin_mu(Irreducible(5, 0, 1), None, 0)": lambda: kisin_mu(Irreducible(5, 0, 1), None, 0),
+    "kisin_mu(Irreducible(5, 0, 1), 0, True)": lambda: kisin_mu(Irreducible(5, 0, 1), 0, True),
+    # a key that is not an (a, b) pair
+    "VirtualClass(5, {1: 1})": lambda: VirtualClass(5, {1: 1}),
+    "VirtualClass(5, {True: 1})": lambda: VirtualClass(5, {True: 1}),
+    "VirtualClass(5, {(0, 1, 2): 1})": lambda: VirtualClass(5, {(0, 1, 2): 1}),
+    "VirtualClass(5, {(0,): 1})": lambda: VirtualClass(5, {(0,): 1}),
+    "VirtualClass(5, {'01': 1})": lambda: VirtualClass(5, {"01": 1}),
 }
 
 
