@@ -3,12 +3,13 @@
 The library is the only validator of its input, and every rejection is a
 ValueError: one of the two subclasses below, or a plain ValueError (say,
 N < 0, a weight outside its range or an unknown check).  Each input is
-checked once, by the code that owns it, under one int rule: an int is an
-int that is not a bool (weights._is_int).  A record checks its own fields;
-parse_param checks only the JSON envelope (an object, a str type naming a
-record class, exactly its fields).  The CLI maps any ValueError from a
-library call to exit 2, a usage error, and a breached internal invariant
-(InternalInvariantError) to exit 3.
+checked once, where it enters, under one int rule: an int is an int that
+is not a bool (weights._is_int).  decompose_sym, sym_class and
+verify_decomposition check p and N, and the fold, its caches and the scans
+check nothing.  A record checks its own fields; parse_param checks only
+the JSON envelope (an object, a str type naming a record class, exactly
+its fields).  The CLI maps any ValueError from a library call to exit 2,
+a usage error, and InternalInvariantError, a breached invariant, to exit 3.
 """
 
 

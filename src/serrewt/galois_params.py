@@ -144,20 +144,13 @@ def enumerate_params(p: int) -> List[InertialParam]:
     return out
 
 
-def param_to_dict(param: InertialParam) -> Dict[str, object]:
-    if isinstance(param, Irreducible):
-        return {"p": param.p, "type": "irreducible", "a": param.a, "b": param.b}
-    return {
-        "p": param.p,
-        "type": "reducible",
-        "twist": param.twist,
-        "ratio": param.ratio,
-        "shape": param.shape,
-        "lambda_equal": param.lambda_equal,
-    }
-
-
 _RECORDS = {"irreducible": Irreducible, "reducible": Reducible}
+_KINDS = {cls: kind for kind, cls in _RECORDS.items()}
+
+
+def param_to_dict(param: InertialParam) -> Dict[str, object]:
+    """p, the record's type, then its other fields in declaration order."""
+    return {"p": param.p, "type": _KINDS[type(param)], **vars(param)}
 
 
 def parse_param(text: str) -> InertialParam:

@@ -86,7 +86,7 @@ from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantError
-from .weights import SerreWeight, _fold, _least_k, _require_odd_prime
+from .weights import SerreWeight, _fold, _least_k, _require_sym
 
 # ---------------------------------------------------------------------------
 # exact integer polynomials (little-endian coefficient tuples)
@@ -161,9 +161,8 @@ def p_regular_classes(p: int) -> Tuple[Tuple[int, int], ...]:
     the (p-1)(p-2)/2 split classes (i, i') with i < i', both multiples of
     p+1, then the p(p-1)/2 non-split classes (j, pj mod p^2-1) with j the
     smaller of its orbit and not divisible by p+1.  The total p(p-1) is
-    the number of irreducible Brauer characters.
+    the number of irreducible Brauer characters.  p is not checked.
     """
-    _require_odd_prime(p)
     n = p * p - 1
     units = range(0, n, p + 1)  # F_p^*: the (p+1)-th powers of zeta
     out = [(i, i) for i in units]
@@ -203,7 +202,8 @@ def _cells(diffs: List[int], total: int) -> List[int]:
 def verify_decomposition(p: int, N: int) -> DecompositionReport:
     """Certify decompose_sym(p, N) by the two torus counts above; a failure
     entry carries its class's p^2 - 1 counts of Sym^N minus the factors'."""
-    factors = _fold(p, N)  # checks p and N; each N is read once, so none is cached
+    _require_sym(p, N)
+    factors = _fold(p, N)  # the uncached fold: each N is read once
     m, n, q = p - 1, p * p - 1, p + 1
     rows: Dict[int, Tuple[List[int], List[int]]] = {}  # row c: split differences + total, non-split ones
     # V(a, b) x mult: a run of b cells of row c from split cell a and non-split

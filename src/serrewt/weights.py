@@ -29,16 +29,16 @@ the "Serre weights".  This module implements:
 Inside weights, recipes and verify a weight at a known prime p is its pair
 (a, b), and a SerreWeight is built only by a caller or by a function that
 hands weights out (VirtualClass.items, recipes' bdj_weight_set and bm_set).
-A pair is checked where a caller hands it in, never again after that.
+A pair, p and N are checked where a caller hands them in, never again.
 Derived classes are built by _class, which takes ownership of a dict
 holding no zero value, uncopied; so decompose_sym and sym_class share the
 cached decomposition dict itself, and no stored decomposition is mutated.
-Three unbounded caches live here: _decompose, which caches the fold _fold;
-_period, the step keys of each residue N mod p-1, grown in place as far as
-the N folded need, to one whole period and its counts, and shared by their
-decompositions (run from the step formula, never twisted from another
-residue's: the recursion check would then read its own identity back); and
-_least_k, the memo of the scans behind k_cris and k_min_search.  When the
+Three unbounded caches live here, none checking its input: _decompose, which
+caches the fold _fold; _period, the step keys of each residue N mod p-1, grown
+in place as far as the N folded need, to one whole period and its counts, and
+shared by their decompositions (run from the step formula, never twisted from
+another residue's: the recursion check would then read its own identity back);
+and _least_k, the memo of the scans behind k_cris and k_min_search.  When the
 suite runner empties them is stated once, in serrewt.verify's "What a process
 holds"; a class built from a cached dict keeps it alive after it is emptied.
 Twist exponents a are always stored reduced modulo p-1; det^(p-1) is
@@ -122,6 +122,13 @@ def _require_weight_range(p: int, a: int, b: int) -> None:
         raise ValueError(f"twist exponent a={a!r} outside [0, {p - 2}]")
     if not (_is_int(b) and 1 <= b <= p):
         raise ValueError(f"dimension parameter b={b!r} outside [1, {p}]")
+
+
+def _require_sym(p: int, N: int) -> None:
+    _require_odd_prime(p)
+    _require_int("N", N)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
 
 
 @dataclass(frozen=True, order=True)
@@ -258,11 +265,8 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     is reps times the counts of _period(p, N mod p-1) plus the keys of its
     first `extra` steps, (reps, extra) = divmod(S, p-1), so it holds the
     list's own key tuples.  Only additions occur, so the result is effective
-    by construction.  _decompose caches it; callers must not mutate."""
-    _require_odd_prime(p)
-    _require_int("N", N)
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    by construction.  _decompose caches it; callers must not mutate.  It
+    checks nothing: p must be an odd prime and N an int >= 0 (_require_sym)."""
     q = p - 1
     S = (N + 1) // (p + 1)
     keys, counts = _period(p, N % q)
@@ -286,7 +290,7 @@ def _fold(p: int, N: int) -> Dict[Tuple[int, int], int]:
     return factors
 
 
-_decompose = lru_cache(maxsize=None, typed=True)(_fold)  # typed: N = 7.0 must reach _fold, not hit 7
+_decompose = lru_cache(maxsize=None)(_fold)
 
 
 Weights = Tuple[Tuple[Tuple[int, int], int], ...]  # ((a, b), c), ... in mu_support order
@@ -329,6 +333,7 @@ def decompose_sym(p: int, N: int) -> VirtualClass:
     sum(mult * b) = N + 1, and every factor V(a, b) has central character
     (2a + b - 1) = N mod p-1.
     """
+    _require_sym(p, N)
     return _class(p, _decompose(p, N))
 
 
@@ -338,14 +343,13 @@ def sym_class(p: int, N: int) -> VirtualClass:
     For N >= 0 this is the effective class of the actual representation;
     [Sym^(-1)] = 0, and [Sym^N] = -[det^(N+1) (x) Sym^(-N-2)] for N < -1.
     The resulting assignment satisfies the periodic relation at every
-    integer index; a non-int N raises ValueError.
+    integer index.  N is checked to be an int, then p, each once.
     """
     _require_int("N", N)
-    if N == -1:
-        return VirtualClass(p)  # checks p; every other N reaches _decompose, which does
+    _require_odd_prime(p)
     if N < -1:
-        return (-sym_class(p, -N - 2)).twist(N + 1)
-    return _class(p, _decompose(p, N))
+        return (-_class(p, _decompose(p, -N - 2))).twist(N + 1)
+    return _class(p, _decompose(p, N) if N >= 0 else {})  # [Sym^(-1)] = 0
 
 
 def _k_min(p: int, a: int, b: int) -> int:

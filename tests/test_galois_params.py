@@ -1,7 +1,7 @@
 """Tests for the inertial parameter model."""
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +212,24 @@ def test_serialization_round_trip(x):
 def test_every_enumerated_param_round_trips(p):
     for q in enumerate_params(p):
         assert parse_param(_text(q)) == q
+
+
+def _literal(x):
+    """The dict param_to_dict must give, written out field by field."""
+    if isinstance(x, Irreducible):
+        return {"p": x.p, "type": "irreducible", "a": x.a, "b": x.b}
+    return {"p": x.p, "type": "reducible", "twist": x.twist, "ratio": x.ratio,
+            "shape": x.shape, "lambda_equal": x.lambda_equal}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_param_to_dict_orders_p_type_then_the_fields(p):
+    # both construction paths: enumerate_params fills each record's
+    # __dict__, and parse_param calls the record on keys in reverse order
+    for q in enumerate_params(p):
+        reverse = json.dumps(dict(reversed(param_to_dict(q).items())))
+        assert reverse.startswith('{"b"' if isinstance(q, Irreducible) else '{"lambda_equal"')
+        for x in (q, parse_param(reverse)):
+            d = param_to_dict(x)
+            assert list(d) == ["p", "type", *[f.name for f in fields(x)][1:]]
+            assert json.dumps(d) == json.dumps(_literal(x))

@@ -59,11 +59,13 @@ def test_check_bm_equals_bdj():
 
 
 def test_primality_tests_per_suite_are_bounded(monkeypatch):
-    # p is tested where it enters: run_suite, enumerate_params, a caller's
-    # SerreWeight; and, guarding caller input, _decompose on each cache
-    # miss.  Derived records, weights and classes are not tested again
-    # (86,750 tests when they were), nor is p in kisin_mu's normalizations
-    # (15,818 when it was).
+    # p is tested where it enters: once by run_suite, once by
+    # enumerate_params for main and bm, and once by each public sym_class
+    # call of the recursion check's periodic items, 4 * (6p + 1) = 1,132 at
+    # p = 47.  The fold and its cache test nothing (6,916 tests when each
+    # cache miss did), and derived records, weights and classes are not
+    # tested again (86,750 when they were), nor is p in kisin_mu's
+    # normalizations (15,818 when it was).
     calls = []
     orig = weights.is_odd_prime
 
@@ -75,7 +77,7 @@ def test_primality_tests_per_suite_are_bounded(monkeypatch):
     weights._decompose.cache_clear()
     assert run_suite([47], "all")["pass"]
     assert set(calls) == {47}
-    assert len(calls) <= 12_000
+    assert len(calls) <= 1_134
 
 
 def test_check_kmin_formula_counts():

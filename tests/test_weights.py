@@ -163,6 +163,49 @@ def test_the_fold_names_a_non_int_index(fn, N):
         fn(5, N)
 
 
+# (function, p, N, its ValueError message); sym_class tests N's type before p,
+# and a list, as a dict would merge the keys N = 7 and N = 7.0
+ENTRY_REJECTIONS = [
+    (decompose_sym, 4, 7, "p must be an odd prime, got 4"),
+    (decompose_sym, 4, 7.0, "p must be an odd prime, got 4"),
+    (decompose_sym, 5, -1, "N must be >= 0, got -1"),
+    (decompose_sym, 5, 7.0, "N must be an int, got 7.0"),
+    (decompose_sym, 5, True, "N must be an int, got True"),
+    (sym_class, 4, 7, "p must be an odd prime, got 4"),
+    (sym_class, 4, -1, "p must be an odd prime, got 4"),
+    (sym_class, 4, 7.0, "N must be an int, got 7.0"),
+    (sym_class, 5, 7.0, "N must be an int, got 7.0"),
+    (sym_class, 5, True, "N must be an int, got True"),
+    (verify_decomposition, 4, 7, "p must be an odd prime, got 4"),
+    (verify_decomposition, 4, 7.0, "p must be an odd prime, got 4"),
+    (verify_decomposition, 5, -1, "N must be >= 0, got -1"),
+    (verify_decomposition, 5, 7.0, "N must be an int, got 7.0"),
+    (verify_decomposition, 5, True, "N must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "after-int"])
+@pytest.mark.parametrize("fn, p, N, message", ENTRY_REJECTIONS,
+                         ids=[f"{fn.__name__}({p!r}, {N!r})" for fn, p, N, _ in ENTRY_REJECTIONS])
+def test_an_entry_point_rejects_p_and_N_before_the_cache(fn, p, N, message, cached):
+    # the decomposition cache is untyped, so (5, 7.0) and (5, True) would
+    # hit the entries of (5, 7) and (5, 1): the entry points check first
+    _decompose.cache_clear()
+    if cached:
+        decompose_sym(5, 7)
+        sym_class(5, 1)
+        assert _decompose.cache_info().currsize == 2
+    with pytest.raises(ValueError) as exc:
+        fn(p, N)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+def test_the_decomposition_cache_is_the_untyped_fold():
+    assert _decompose.__wrapped__ is weights._fold
+    assert not _decompose.cache_parameters()["typed"]
+
+
 @pytest.mark.parametrize("n", [7.5, 5.0])
 def test_is_odd_prime_of_a_non_int_is_false(n):
     assert is_odd_prime(n) is False
